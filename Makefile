@@ -105,11 +105,13 @@ trace-smoke:
 # a router plus two co-located workers sharing one registry, publishes
 # three tenant models, and asserts routed predictions, quota/shed
 # metrics, and hash-ring stability under drain.  The router and
-# registry race tests run fresh alongside it; `make race` covers the
-# full packages racy.
+# registry race tests, and the worker's dispatcher tests (queue hand-off,
+# coalescing, drain on Close, concurrent tracing), run fresh and racy
+# alongside it; `make race` covers the full packages racy.
 shard-smoke:
 	$(GO) test -run 'TestShardSmoke' -count=1 -v ./cmd/srdaserve
 	$(GO) test -run 'TestColocatedRoutingQuotasAndDrain|TestConcurrentPublishEvictPredict' -count=1 -race -v ./internal/router ./internal/registry
+	$(GO) test -run 'TestMicroBatchCoalescing|TestWholeRequestOneSendOneBatch|TestOversizedRequestMatchesPredictBatch|TestCloseWhileWorkersBusy|TestQueueFullRejects|TestConcurrentRequestTracing' -count=1 -race -v ./internal/serve
 
 # Train-while-serving acceptance smoke (see doc/ONLINE.md): a worker
 # started with -online streams labeled samples through /v1/observe, the

@@ -43,8 +43,8 @@ func main() {
 	fmt.Printf("trained and saved: %d features → %d dims, %d classes\n",
 		ds.NumFeatures(), model.Dim(), ds.NumClasses)
 
-	// 2. Stand up the server: micro-batching dispatcher + HTTP front end.
-	srv, err := serve.New(model, serve.Options{MaxBatch: 32, MaxWait: 2 * time.Millisecond})
+	// 2. Stand up the server: batching dispatcher + HTTP front end.
+	srv, err := serve.New(model, serve.Options{MaxBatch: 32})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +110,11 @@ func main() {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// 5. Graceful shutdown: stop accepting, drain in-flight work.
+	// 5. Graceful shutdown: stop accepting, drain in-flight work.  The
+	// client is done, so close its idle connections first: Shutdown waits
+	// up to 5 s for a connection the client dialed but never sent a
+	// request on, and fast replies leave such spare dials behind.
+	client.HTTPClient.CloseIdleConnections()
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	_ = hs.Shutdown(sctx) // best effort: srv.Close below reports drain failures

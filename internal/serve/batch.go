@@ -1,323 +1,300 @@
 package serve
 
-// This file is the micro-batching dispatcher: HTTP handlers enqueue
-// individual samples onto a channel; a batcher goroutine coalesces up to
-// MaxBatch samples or MaxWait of wall clock (whichever comes first) into
-// one inference batch; a worker pool assembles each batch into a matrix
-// and runs the model's GEMM-lowered batch predict.  Samples from different
-// HTTP requests share batches, which is what amortizes per-request
-// dispatch overhead under concurrent load.
+// This file is the work-conserving dispatcher.  A handler validates its
+// request and puts the whole request on the queue in one send.  The
+// inference workers read the queue directly: a free worker takes one
+// request, adds whatever requests are already queued (without waiting,
+// until the batch holds MaxBatch rows), and runs them at once.  Requests
+// therefore share a batch only while every worker is busy, which is
+// exactly when sharing amortizes dispatch; a request that finds a worker
+// free never waits for company.
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"srda/internal/classify"
+	"srda/internal/core"
 	"srda/internal/mat"
 	"srda/internal/obs"
 	"srda/internal/sparse"
 )
 
-// pending tracks one HTTP request's samples across however many inference
-// batches they land in.  done closes when every sample is resolved (or
-// failed); results are safe to read only after done.
-type pending struct {
-	classes    []int
-	embeddings [][]float64 // nil unless the request asked for embeddings
-	model      string      // resolved registry name answering the request
-	modelSeq   atomic.Uint64
-	remaining  atomic.Int32
-	mu         sync.Mutex
-	err        error
-	done       chan struct{}
-	// span is the request's root span; runBatch opens a "batch" child per
-	// request so every trace shows the shared inference interval.  Nil when
-	// tracing is off.
-	span *obs.ReqSpan
-}
-
-func newPending(n int, embed bool) *pending {
-	p := &pending{classes: make([]int, n), done: make(chan struct{})}
-	if embed {
-		p.embeddings = make([][]float64, n)
-	}
-	p.remaining.Store(int32(n))
-	return p
-}
-
-func (p *pending) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-func (p *pending) failure() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// settle resolves k samples; the last one closes done.
-func (p *pending) settle(k int) {
-	if k > 0 && p.remaining.Add(-int32(k)) == 0 {
-		close(p.done)
-	}
-}
-
-// item is one sample in flight: either a dense vector or a sparse
-// (cols, vals) pair, plus the slot it resolves into.  model is the
-// resolved registry name; the dispatcher groups a mixed-tenant batch by
-// it, one GEMM per model present.
-type item struct {
-	p     *pending
-	idx   int
-	model string
+// row is one validated sample: a dense vector, or a sparse row as
+// column-sorted (cols, vals).
+type row struct {
 	dense []float64
 	cols  []int
 	vals  []float64
-	width int // len(dense), or max sparse index + 1
 }
 
-func (it *item) sparse() bool { return it.dense == nil }
-
-// batcher coalesces queued items into batches for the worker pool.  It
-// owns the flush timer: a batch is dispatched when it reaches MaxBatch
-// samples or when MaxWait has elapsed since its first sample arrived.
-func (s *Server) batcher() {
-	defer close(s.workCh)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// fits reports whether a model with n features can answer the row.
+func (r *row) fits(n int) bool {
+	if r.dense != nil {
+		return len(r.dense) == n
 	}
-	var batch []*item
-	flush := func() {
-		if len(batch) > 0 {
-			s.workCh <- batch
-			batch = nil
+	return len(r.cols) == 0 || r.cols[len(r.cols)-1] < n
+}
+
+// pending is one predict request in flight.  The worker that takes it
+// off the queue owns it until done closes: it writes classes,
+// embeddings, modelSeq and err, and the handler reads them only after
+// done.
+type pending struct {
+	model      string // resolved registry name answering the request
+	rows       []row
+	classes    []int
+	embeddings [][]float64 // nil unless the request asked for embeddings
+	modelSeq   uint64
+	err        error
+	done       chan struct{}
+	// span is the request's root span; every kernel batch its rows run in
+	// opens a "batch" child on it.  Nil when tracing is off.
+	span *obs.ReqSpan
+}
+
+func (p *pending) fits(n int) bool {
+	for i := range p.rows {
+		if !p.rows[i].fits(n) {
+			return false
 		}
 	}
+	return true
+}
+
+// rowRef names row i of request req in the slice being dispatched.
+type rowRef struct{ req, i int }
+
+// worker is one inference worker's reusable state.  The dense gather
+// matrix x and the embedding matrix emb grow to the largest kernel batch
+// seen (at most MaxBatch rows of the widest model) and are reused across
+// batches.
+type worker struct {
+	batch  []*pending // requests taken off the queue for one dispatch
+	refs   []rowRef   // rows of the kernel batch being gathered
+	spans  []*obs.ReqSpan
+	x, emb mat.Dense
+}
+
+// enqueue puts a validated request on the queue in one send.  It never
+// blocks: a request whose rows would take the queue past QueueDepth
+// samples is rejected whole with ErrQueueFull, and none of it runs.
+func (s *Server) enqueue(p *pending) error {
+	n := int64(len(p.rows))
 	for {
-		if len(batch) == 0 {
+		q := s.queued.Load()
+		if q+n > int64(s.opts.QueueDepth) {
+			s.metrics.queueRejects.Add(n)
+			s.logger.Sample("queue_full", time.Second).Warn("prediction queue full",
+				"rejected", n, "queue_depth", s.opts.QueueDepth)
+			s.opts.Flight.NoteQueueFull(p.span.TraceID())
+			return ErrQueueFull
+		}
+		if s.queued.CompareAndSwap(q, q+n) {
+			break
+		}
+	}
+	s.queue <- p // the reservation leaves a free slot (see Server.queue)
+	return nil
+}
+
+// run is one inference worker: it takes the next request, coalesces the
+// requests already queued behind it, and answers them.  After Close it
+// keeps going until the queue is empty, so every request queued before
+// Close is answered.
+func (s *Server) run() {
+	defer s.wg.Done()
+	w := new(worker)
+	for {
+		var p *pending
+		select {
+		case p = <-s.queue:
+		case <-s.stop:
 			select {
-			case it := <-s.queue:
-				batch = append(batch, it)
-				if len(batch) >= s.opts.MaxBatch {
-					flush()
-					continue
-				}
-				timer.Reset(s.opts.MaxWait)
-			case <-s.stop:
-				s.drain(flush, &batch)
+			case p = <-s.queue:
+			default:
 				return
 			}
-			continue
 		}
-		select {
-		case it := <-s.queue:
-			batch = append(batch, it)
-			if len(batch) >= s.opts.MaxBatch {
-				stopTimer(timer)
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-s.stop:
-			stopTimer(timer)
-			s.drain(flush, &batch)
-			return
+		w.batch = s.coalesce(append(w.batch[:0], p))
+		s.runBatch(w, w.batch)
+		for _, p := range w.batch {
+			close(p.done)
 		}
+		clear(w.batch)
 	}
 }
 
-// drain empties whatever is still queued at shutdown and flushes it, so
-// samples enqueued before the stop signal are answered rather than leaked.
-func (s *Server) drain(flush func(), batch *[]*item) {
-	for {
+// coalesce takes batch's request off the queue's books and appends the
+// requests already queued, without waiting, until the batch holds at
+// least MaxBatch rows.
+func (s *Server) coalesce(batch []*pending) []*pending {
+	rows := len(batch[0].rows)
+	s.queued.Add(-int64(rows))
+	for rows < s.opts.MaxBatch {
 		select {
-		case it := <-s.queue:
-			*batch = append(*batch, it)
-			if len(*batch) >= s.opts.MaxBatch {
-				flush()
-			}
+		case p := <-s.queue:
+			s.queued.Add(-int64(len(p.rows)))
+			batch = append(batch, p)
+			rows += len(p.rows)
 		default:
-			flush()
-			return
+			return batch
 		}
 	}
+	return batch
 }
 
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for batch := range s.workCh {
-		s.runBatch(batch)
-	}
-}
-
-// runBatch splits a coalesced batch by registry model (samples from
-// different tenants share the dispatcher but never a GEMM) and runs one
-// inference sub-batch per model in first-appearance order.
-func (s *Server) runBatch(batch []*item) {
+// runBatch splits a coalesced batch by registry model (requests for
+// different tenants share the dispatcher but never a GEMM) and runs each
+// model's requests in first-appearance order.
+func (s *Server) runBatch(w *worker, batch []*pending) {
 	// Single-tenant batches — the overwhelmingly common case — skip the
 	// grouping allocation entirely.
 	uniform := true
-	for _, it := range batch[1:] {
-		if it.model != batch[0].model {
+	for _, p := range batch[1:] {
+		if p.model != batch[0].model {
 			uniform = false
 			break
 		}
 	}
 	if uniform {
-		s.runModelBatch(batch[0].model, batch)
+		s.runModelBatch(w, batch[0].model, batch)
 		return
 	}
 	var order []string
-	groups := make(map[string][]*item)
-	for _, it := range batch {
-		if _, ok := groups[it.model]; !ok {
-			order = append(order, it.model)
+	groups := make(map[string][]*pending)
+	for _, p := range batch {
+		if _, ok := groups[p.model]; !ok {
+			order = append(order, p.model)
 		}
-		groups[it.model] = append(groups[it.model], it)
+		groups[p.model] = append(groups[p.model], p)
 	}
 	for _, name := range order {
-		s.runModelBatch(name, groups[name])
+		s.runModelBatch(w, name, groups[name])
 	}
 }
 
-// runModelBatch assembles one model's sub-batch into a matrix, runs the
-// batched projection and nearest-centroid assignment on the snapshot
-// loaded once for the whole sub-batch (publishes and rollbacks therefore
-// never tear a batch), and writes the per-sample results back.
-func (s *Server) runModelBatch(name string, batch []*item) {
+// runModelBatch answers one model's requests on the snapshot loaded once
+// for all of them (publishes and rollbacks therefore never tear a
+// request), in kernel batches of at most MaxBatch rows.
+func (s *Server) runModelBatch(w *worker, name string, reqs []*pending) {
 	snap, ok := s.reg.Get(name)
 	if !ok {
 		// Evicted or deleted between enqueue and dispatch.
 		err := &UnknownModelError{Name: name}
-		for _, it := range batch {
-			it.p.fail(err)
-			it.p.settle(1)
+		for _, p := range reqs {
+			p.err = err
 		}
 		return
 	}
-	m := snap.Model
-	n := m.W.Rows
-
-	// A reload may have changed the feature count since enqueue-time
-	// validation; fail the now-incompatible samples instead of panicking.
-	valid := batch[:0]
-	for _, it := range batch {
-		ok := it.width <= n
-		if !it.sparse() {
-			ok = it.width == n
-		}
-		if !ok {
-			it.p.fail(ErrModelShape)
-			it.p.settle(1)
+	n := snap.Model.W.Rows
+	refs := w.refs[:0]
+	for k, p := range reqs {
+		if !p.fits(n) {
+			// A reload changed the feature count since enqueue-time
+			// validation; fail the request instead of panicking.
+			p.err = ErrModelShape
 			continue
 		}
-		valid = append(valid, it)
-	}
-	if len(valid) == 0 {
-		return
-	}
-	s.metrics.batches.Inc()
-	s.metrics.samples.Add(int64(len(valid)))
-	s.metrics.batchSize.Observe(float64(len(valid)))
-
-	// Fan-in tracing: one "batch" child per distinct request in the batch,
-	// so each request's trace shows the shared inference interval.  The
-	// kernel spans below (core.gemm / core.project_csr / pool.do /
-	// classify) attach to the first traced request's batch span — one
-	// execution, one set of kernel spans, owned by one trace.
-	batchSpans := make(map[*pending]*obs.ReqSpan, 4)
-	var owner *obs.ReqSpan
-	for _, it := range valid {
-		if _, ok := batchSpans[it.p]; !ok {
-			sp := it.p.span.StartChild("batch")
-			batchSpans[it.p] = sp
-			if owner == nil && sp != nil {
-				owner = sp
+		p.modelSeq = snap.Version
+		for i := range p.rows {
+			refs = append(refs, rowRef{k, i})
+			if len(refs) == s.opts.MaxBatch {
+				s.runKernel(w, snap.Model, reqs, refs)
+				refs = refs[:0]
 			}
+		}
+	}
+	if len(refs) > 0 {
+		s.runKernel(w, snap.Model, reqs, refs)
+	}
+	w.refs = refs
+}
+
+// runKernel gathers refs into the worker's scratch, runs the batched
+// projection and nearest-centroid assignment, and writes each row's
+// result back to its request.
+func (s *Server) runKernel(w *worker, m *core.Model, reqs []*pending, refs []rowRef) {
+	s.metrics.batches.Inc()
+	s.metrics.samples.Add(int64(len(refs)))
+	s.metrics.batchSize.Observe(float64(len(refs)))
+
+	// Fan-in tracing: one "batch" child per distinct request in the batch
+	// (a request's rows are contiguous in refs), so each request's trace
+	// shows the shared inference interval.  The kernel spans below
+	// (core.gemm / core.project_csr / pool.do / classify) attach to the
+	// first traced request's batch span — one execution, one set of
+	// kernel spans, owned by one trace.
+	w.spans = w.spans[:0]
+	var owner *obs.ReqSpan
+	for r, ref := range refs {
+		if r > 0 && ref.req == refs[r-1].req {
+			continue
+		}
+		sp := reqs[ref.req].span.StartChild("batch")
+		w.spans = append(w.spans, sp)
+		if owner == nil {
+			owner = sp
 		}
 	}
 	ctx := obs.ContextWithSpan(context.Background(), owner)
 
 	allSparse := true
-	for _, it := range valid {
-		if !it.sparse() {
+	for _, ref := range refs {
+		if reqs[ref.req].rows[ref.i].dense != nil {
 			allSparse = false
 			break
 		}
 	}
-	var emb *mat.Dense
+	n := m.W.Rows
+	emb := reuse(&w.emb, len(refs), m.Dim())
 	if allSparse {
-		b := sparse.NewBuilder(len(valid), n)
-		for r, it := range valid {
-			for t, j := range it.cols {
-				b.Add(r, j, it.vals[t])
+		b := sparse.NewBuilder(len(refs), n)
+		for r, ref := range refs {
+			row := &reqs[ref.req].rows[ref.i]
+			for t, j := range row.cols {
+				b.Add(r, j, row.vals[t])
 			}
 		}
-		emb = m.ProjectBatchCSRCtx(ctx, b.Build(), nil)
+		emb = m.ProjectBatchCSRCtx(ctx, b.Build(), emb)
 	} else {
-		x := mat.NewDense(len(valid), n)
-		for r, it := range valid {
-			row := x.RowView(r)
-			if it.sparse() {
-				for t, j := range it.cols {
-					row[j] = it.vals[t]
-				}
-			} else {
-				copy(row, it.dense)
+		x := reuse(&w.x, len(refs), n)
+		for r, ref := range refs {
+			row, dst := &reqs[ref.req].rows[ref.i], x.RowView(r)
+			if row.dense != nil {
+				copy(dst, row.dense)
+				continue
+			}
+			clear(dst)
+			for t, j := range row.cols {
+				dst[j] = row.vals[t]
 			}
 		}
-		emb = m.ProjectBatchCtx(ctx, x, nil)
+		emb = m.ProjectBatchCtx(ctx, x, emb)
 	}
 	nc := classify.NearestCentroid{Centroids: m.Centroids}
 	_, csp := obs.StartSpan(ctx, "classify")
 	classes := nc.PredictBatch(emb)
 	csp.End()
-	for r, it := range valid {
-		it.p.classes[it.idx] = classes[r]
-		if it.p.embeddings != nil {
-			it.p.embeddings[it.idx] = append([]float64(nil), emb.RowView(r)...)
+	for r, ref := range refs {
+		p := reqs[ref.req]
+		p.classes[ref.i] = classes[r]
+		if p.embeddings != nil {
+			p.embeddings[ref.i] = append([]float64(nil), emb.RowView(r)...)
 		}
-		it.p.modelSeq.Store(snap.Version)
-		it.p.settle(1)
 	}
-	//srdalint:ignore maprange each End stamps its own request's span; cross-request event order is scheduler-dependent regardless
-	for _, sp := range batchSpans {
+	for _, sp := range w.spans {
 		sp.End()
 	}
+	clear(w.spans)
 }
 
-// enqueue submits one request's samples to the dispatcher.  It never
-// blocks: when the queue is full the remaining samples are rejected and
-// the pending is failed with errQueueFull (already-queued samples still
-// resolve, so done always closes).
-func (s *Server) enqueue(p *pending, items []*item) {
-	for i, it := range items {
-		select {
-		case s.queue <- it:
-		default:
-			s.metrics.queueRejects.Add(int64(len(items) - i))
-			s.logger.Sample("queue_full", time.Second).Warn("prediction queue full",
-				"rejected", len(items)-i, "queue_depth", s.opts.QueueDepth)
-			s.opts.Flight.NoteQueueFull(p.span.TraceID())
-			p.fail(ErrQueueFull)
-			p.settle(len(items) - i)
-			return
-		}
+// reuse reshapes d to r×c over its own storage, growing it only when the
+// storage is short.
+func reuse(d *mat.Dense, r, c int) *mat.Dense {
+	if cap(d.Data) < r*c {
+		d.Data = make([]float64, r*c)
 	}
+	*d = mat.Dense{Rows: r, Cols: c, Stride: c, Data: d.Data[:r*c]}
+	return d
 }

@@ -5,12 +5,12 @@
 // by name and default to the worker's default model, so the single-model
 // deployment from PR 1 keeps working unchanged.  Incoming samples —
 // dense vectors or sparse {index: value} maps, one or many per request —
-// are micro-batched across concurrent requests and classified through
-// each model's GEMM-lowered batch path, the way a production inference
-// stack amortizes dispatch overhead.  The server supports atomic model
-// publish/rollback and hot reload (in-flight batches finish on the
-// version they started with), graceful drain on shutdown, and Prometheus
-// text-format metrics.
+// run as soon as an inference worker is free, through each model's
+// GEMM-lowered batch path; requests that queued while every worker was
+// busy share a batch, which amortizes dispatch exactly under load.  The
+// server supports atomic model publish/rollback and hot reload
+// (in-flight batches finish on the version they started with), graceful
+// drain on shutdown, and Prometheus text-format metrics.
 //
 // Endpoints:
 //
@@ -50,12 +50,10 @@ const DefaultModelName = "default"
 // Options tunes the server.  The zero value gets sensible defaults from
 // New.
 type Options struct {
-	// MaxBatch caps the samples coalesced into one inference batch
-	// (default 64).
+	// MaxBatch caps the samples in one inference batch (default 64).  A
+	// free worker coalesces requests already queued up to this many rows;
+	// it never waits for more to arrive.
 	MaxBatch int
-	// MaxWait bounds how long the batcher holds a non-full batch open
-	// waiting for more samples (default 2ms).
-	MaxWait time.Duration
 	// Workers is the inference worker-pool size (default GOMAXPROCS).
 	// The same value bounds the kernel sharding inside the model's batch
 	// projection (bitwise-identical at any setting); the shared pool in
@@ -110,9 +108,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -134,10 +129,12 @@ func (o Options) withDefaults() Options {
 // Server serves predictions from an atomically swappable set of SRDA
 // models held in a registry.
 type Server struct {
-	opts    Options
-	reg     *registry.Registry
-	queue   chan *item
-	workCh  chan []*item
+	opts Options
+	reg  *registry.Registry
+	// queue holds whole requests in QueueDepth slots, which never fill:
+	// each holds at least one of the QueueDepth samples queued counts.
+	queue   chan *pending
+	queued  atomic.Int64
 	stop    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -149,12 +146,22 @@ type Server struct {
 	logger  *obs.Logger
 }
 
-// New starts the dispatcher (batcher + worker pool).  When opts.Registry
+// New starts the dispatcher (the inference worker pool).  When opts.Registry
 // is nil, m becomes the registry's default model and must carry class
 // centroids (i.e. come from Fit/FitCSR or a file they saved); with a
 // caller-owned registry m may be nil and requests are answered from
 // whatever the registry holds.
 func New(m *core.Model, opts Options) (*Server, error) {
+	s, err := newServer(m, opts)
+	if err == nil {
+		s.startWorkers()
+	}
+	return s, err
+}
+
+// newServer builds a Server whose workers are not yet started; requests
+// submitted before startWorkers wait on the queue.
+func newServer(m *core.Model, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	reg := opts.Registry
 	if reg == nil {
@@ -175,8 +182,7 @@ func New(m *core.Model, opts Options) (*Server, error) {
 	s := &Server{
 		opts:   opts,
 		reg:    reg,
-		queue:  make(chan *item, opts.QueueDepth),
-		workCh: make(chan []*item, opts.Workers),
+		queue:  make(chan *pending, opts.QueueDepth),
 		stop:   make(chan struct{}),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
@@ -187,7 +193,7 @@ func New(m *core.Model, opts Options) (*Server, error) {
 		s.tracer = obs.NewTracer(opts.TraceCapacity)
 	}
 	s.metrics = newMetrics(
-		func() int64 { return int64(len(s.queue)) },
+		s.queued.Load,
 		func() int64 { return int64(s.ModelSeq()) },
 	)
 	if opts.Exemplars != nil {
@@ -201,17 +207,15 @@ func New(m *core.Model, opts Options) (*Server, error) {
 	if opts.Trainer != nil {
 		s.mux.HandleFunc("/v1/observe", s.instrument("/v1/observe", s.handleObserve))
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.batcher()
-	}()
-	for i := 0; i < opts.Workers; i++ {
+	return s, nil
+}
+
+func (s *Server) startWorkers() {
+	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
 		//srdalint:ignore ctxflow bounded fan-out: exactly opts.Workers dispatch goroutines, joined on drain
-		go s.worker()
+		go s.run()
 	}
-	return s, nil
 }
 
 // Handler returns the HTTP handler exposing all endpoints.
@@ -279,7 +283,7 @@ func (s *Server) Swap(m *core.Model) (uint64, error) {
 	return snap.Version, nil
 }
 
-// Close stops the dispatcher, draining already-queued samples first.  Call
+// Close stops the dispatcher, answering already-queued requests first.  Call
 // it after the HTTP listener has stopped accepting requests (e.g. after
 // http.Server.Shutdown) so no handler is still enqueueing; handlers caught
 // mid-wait are released with a 503.  The context bounds the drain.
@@ -487,7 +491,7 @@ func writeTypedErr(w http.ResponseWriter, err error) int {
 }
 
 // Predict answers one request through the in-process transport: the same
-// validation, micro-batching dispatch, and tracing as POST /v1/predict,
+// validation, batching dispatch, and tracing as POST /v1/predict,
 // with typed errors instead of HTTP statuses (map them with StatusCode).
 // This is how the router reaches co-located workers without a network
 // hop, which keeps the whole tier testable under -race.
@@ -499,13 +503,13 @@ func (s *Server) Predict(ctx context.Context, req *PredictRequest) (*PredictResp
 	ctx, root := s.startRequestSpan(ctx, "request", nil)
 	defer root.End()
 	_, sp := obs.StartSpan(ctx, "parse")
-	p, items, err := s.buildPending(req)
+	p, err := s.buildPending(req)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	p.span = root
-	if err := s.submit(ctx, p, items); err != nil {
+	if err := s.submit(ctx, p); err != nil {
 		return nil, err
 	}
 	s.observeLatencyTraced(time.Since(begin).Seconds(), root.TraceID())
@@ -513,7 +517,7 @@ func (s *Server) Predict(ctx context.Context, req *PredictRequest) (*PredictResp
 		Classes:    p.classes,
 		Embeddings: p.embeddings,
 		Model:      p.model,
-		ModelSeq:   p.modelSeq.Load(),
+		ModelSeq:   p.modelSeq,
 	}, nil
 }
 
@@ -537,13 +541,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		sp.End()
 		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
-	p, items, err := s.buildPending(&req)
+	p, err := s.buildPending(&req)
 	sp.End()
 	if err != nil {
 		return writeTypedErr(w, err)
 	}
 	p.span = root
-	if err := s.submit(ctx, p, items); err != nil {
+	if err := s.submit(ctx, p); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return http.StatusServiceUnavailable // client gone; nothing to write
 		}
@@ -553,22 +557,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		Classes:    p.classes,
 		Embeddings: p.embeddings,
 		Model:      p.model,
-		ModelSeq:   p.modelSeq.Load(),
+		ModelSeq:   p.modelSeq,
 	})
 }
 
 // buildPending validates one predict request against the registry and
 // converts it to dispatcher form, returning typed errors.
-func (s *Server) buildPending(req *PredictRequest) (*pending, []*item, error) {
+func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
 	samples := req.Samples
 	if len(samples) == 0 && (len(req.Dense) > 0 || len(req.Sparse) > 0) {
 		samples = []Sample{req.Sample}
 	}
 	if len(samples) == 0 {
-		return nil, nil, badRequestf("no samples")
+		return nil, badRequestf("no samples")
 	}
 	if len(samples) > s.opts.MaxRequestSamples {
-		return nil, nil, badRequestf("%d samples exceeds the per-request cap of %d",
+		return nil, badRequestf("%d samples exceeds the per-request cap of %d",
 			len(samples), s.opts.MaxRequestSamples)
 	}
 	name := req.Model
@@ -577,74 +581,77 @@ func (s *Server) buildPending(req *PredictRequest) (*pending, []*item, error) {
 	}
 	snap, ok := s.reg.Get(name)
 	if !ok {
-		return nil, nil, &UnknownModelError{Name: name}
+		return nil, &UnknownModelError{Name: name}
 	}
 	n := snap.Model.W.Rows
-	p := newPending(len(samples), req.Embed)
-	p.model = name
-	items := make([]*item, len(samples))
-	for i, smp := range samples {
-		it, err := buildItem(p, i, smp, n)
-		if err != nil {
-			return nil, nil, badRequestf("sample %d: %v", i, err)
-		}
-		it.model = name
-		items[i] = it
+	p := &pending{
+		model:   name,
+		rows:    make([]row, len(samples)),
+		classes: make([]int, len(samples)),
+		done:    make(chan struct{}),
 	}
-	return p, items, nil
+	if req.Embed {
+		p.embeddings = make([][]float64, len(samples))
+	}
+	for i, smp := range samples {
+		if err := buildRow(&p.rows[i], smp, n); err != nil {
+			return nil, badRequestf("sample %d: %v", i, err)
+		}
+	}
+	return p, nil
 }
 
-// submit enqueues the pending's items and waits for resolution under a
-// "queue" span.
-func (s *Server) submit(ctx context.Context, p *pending, items []*item) error {
+// submit enqueues the request and waits for its answer under a "queue"
+// span.
+func (s *Server) submit(ctx context.Context, p *pending) error {
 	_, queueSp := obs.StartSpan(ctx, "queue")
 	defer queueSp.End()
-	s.enqueue(p, items)
+	if err := s.enqueue(p); err != nil {
+		return err
+	}
 	select {
 	case <-p.done:
+		return p.err
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.stop:
 		return ErrShuttingDown
 	}
-	return p.failure()
 }
 
-// buildItem validates one sample against the model's feature count n and
-// converts it to dispatcher form.
-func buildItem(p *pending, idx int, smp Sample, n int) (*item, error) {
+// buildRow validates one sample against the model's feature count n and
+// converts it to dispatcher form in r.
+func buildRow(r *row, smp Sample, n int) error {
 	hasDense, hasSparse := len(smp.Dense) > 0, len(smp.Sparse) > 0
 	if hasDense == hasSparse {
-		return nil, fmt.Errorf("need exactly one of dense or sparse")
+		return fmt.Errorf("need exactly one of dense or sparse")
 	}
 	if hasDense {
 		if len(smp.Dense) != n {
-			return nil, fmt.Errorf("dense sample has %d features, model expects %d", len(smp.Dense), n)
+			return fmt.Errorf("dense sample has %d features, model expects %d", len(smp.Dense), n)
 		}
-		return &item{p: p, idx: idx, dense: smp.Dense, width: len(smp.Dense)}, nil
+		r.dense = smp.Dense
+		return nil
 	}
 	cols := make([]int, 0, len(smp.Sparse))
 	//srdalint:ignore maprange keys are validated then sorted below before any arithmetic sees them
 	for j := range smp.Sparse {
 		if j < 0 {
-			return nil, fmt.Errorf("negative feature index %d", j)
+			return fmt.Errorf("negative feature index %d", j)
 		}
 		if j >= n {
-			return nil, fmt.Errorf("feature index %d out of range for a %d-feature model", j, n)
+			return fmt.Errorf("feature index %d out of range for a %d-feature model", j, n)
 		}
 		cols = append(cols, j)
 	}
 	// Sort so the CSR row is column-ordered: kernel dot products accumulate
 	// in index order and stay bitwise reproducible across requests.
 	sort.Ints(cols)
-	it := &item{p: p, idx: idx, cols: cols, vals: make([]float64, len(cols))}
+	r.cols, r.vals = cols, make([]float64, len(cols))
 	for t, j := range cols {
-		it.vals[t] = smp.Sparse[j]
-		if j+1 > it.width {
-			it.width = j + 1
-		}
+		r.vals[t] = smp.Sparse[j]
 	}
-	return it, nil
+	return nil
 }
 
 // HealthSnapshot builds the /healthz reply programmatically — the same
@@ -654,7 +661,7 @@ func (s *Server) HealthSnapshot() *Health {
 	h := &Health{
 		Status:            "ok",
 		UptimeSeconds:     time.Since(s.start).Seconds(),
-		QueueDepth:        len(s.queue),
+		QueueDepth:        int(s.queued.Load()),
 		Models:            s.reg.Len(),
 		LatencyP99Seconds: s.LatencyP99(),
 	}

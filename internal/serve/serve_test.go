@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 
 	"srda/internal/core"
 	"srda/internal/mat"
+	"srda/internal/sparse"
 )
 
 // trainBlobs fits a centroided model on well-separated Gaussian blobs and
@@ -185,30 +188,67 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestMicroBatchCoalescing pins the batcher's size trigger: with MaxWait
-// effectively infinite and MaxBatch=4, four concurrent single-sample
-// requests must be answered by exactly one inference batch.
+// newHeldServer builds a server whose inference workers are held (not
+// started) until the test calls startWorkers, so requests queued before
+// that see every worker busy.
+func newHeldServer(t *testing.T, model *core.Model, opts Options) *Server {
+	t.Helper()
+	s, err := newServer(model, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return s
+}
+
+// enqueueReq validates req and puts it on the queue as a handler would.
+func enqueueReq(t *testing.T, s *Server, req *PredictRequest) (*pending, error) {
+	t.Helper()
+	p, err := s.buildPending(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, s.enqueue(p)
+}
+
+// await waits for a queued request to be answered.
+func await(t *testing.T, p *pending) {
+	t.Helper()
+	select {
+	case <-p.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never answered")
+	}
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+}
+
+// TestMicroBatchCoalescing pins the work-conserving trigger: requests
+// that queue while every worker is busy share one batch when a worker
+// frees up.  The single worker is held until four one-row requests are
+// queued; released, it must answer all four in exactly one batch.
 func TestMicroBatchCoalescing(t *testing.T) {
 	model, probes := trainBlobs(t, 10, 4, 5)
-	s, _, client := newTestServer(t, model, Options{MaxBatch: 4, MaxWait: time.Hour})
-	ctx := ctxT(t)
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	got := make([]int, 4)
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			got[k], errs[k] = client.PredictOne(ctx, DenseSample(probes.RowView(k)))
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", k, err)
+	s := newHeldServer(t, model, Options{MaxBatch: 4, Workers: 1})
+	ps := make([]*pending, 4)
+	for k := range ps {
+		var err error
+		if ps[k], err = enqueueReq(t, s, &PredictRequest{Sample: DenseSample(probes.RowView(k))}); err != nil {
+			t.Fatal(err)
 		}
-		if want := model.PredictVec(probes.RowView(k)); got[k] != want {
-			t.Fatalf("request %d: got class %d, want %d", k, got[k], want)
+	}
+	s.startWorkers()
+	for k, p := range ps {
+		await(t, p)
+		if want := model.PredictVec(probes.RowView(k)); p.classes[0] != want {
+			t.Fatalf("request %d: got class %d, want %d", k, p.classes[0], want)
 		}
 	}
 	if b := s.metrics.batches.Value(); b != 1 {
@@ -216,6 +256,171 @@ func TestMicroBatchCoalescing(t *testing.T) {
 	}
 	if n := s.metrics.samples.Value(); n != 4 {
 		t.Fatalf("expected 4 samples predicted, got %d", n)
+	}
+}
+
+// TestWholeRequestOneSendOneBatch pins request granularity: an 8-row
+// request is one queue entry (counted as 8 queued samples) and runs as
+// one inference batch.
+func TestWholeRequestOneSendOneBatch(t *testing.T) {
+	model, _ := trainBlobs(t, 10, 4, 15)
+	s := newHeldServer(t, model, Options{Workers: 1})
+	x := blobRows(8, 10, 16)
+	req := &PredictRequest{}
+	for i := 0; i < x.Rows; i++ {
+		req.Samples = append(req.Samples, DenseSample(x.RowView(i)))
+	}
+	p, err := enqueueReq(t, s, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.queue) != 1 || s.queued.Load() != 8 || s.HealthSnapshot().QueueDepth != 8 {
+		t.Fatalf("queue holds %d entries, %d samples; want 1 entry, 8 samples", len(s.queue), s.queued.Load())
+	}
+	s.startWorkers()
+	await(t, p)
+	if b, n := s.metrics.batches.Value(), s.metrics.samples.Value(); b != 1 || n != 8 {
+		t.Fatalf("ran %d batches of %d samples in total, want 1 batch of 8", b, n)
+	}
+	for i, want := range model.PredictBatch(x) {
+		if p.classes[i] != want {
+			t.Fatalf("row %d: got class %d, want %d", i, p.classes[i], want)
+		}
+	}
+}
+
+// blobRows draws r seeded rows of n features spread over the blobs
+// trainBlobs fits, with about a third of the entries exactly zero so the
+// rows also exercise the sparse path.
+func blobRows(r, n int, seed int64) *mat.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	x := mat.NewDense(r, n)
+	for i := 0; i < r; i++ {
+		row := x.RowView(i)
+		for j := range row {
+			if rng.Intn(3) > 0 {
+				row[j] = rng.NormFloat64()
+			}
+		}
+		row[0] = 8*float64(i%4) + 0.1*rng.NormFloat64()
+	}
+	return x
+}
+
+// TestOversizedRequestMatchesPredictBatch sends a request with more rows
+// than MaxBatch, dense and sparse, and requires the classes and
+// embeddings to equal Model.PredictBatch / ProjectBatch (and their CSR
+// forms) bit for bit, although the rows run in several kernel batches.
+func TestOversizedRequestMatchesPredictBatch(t *testing.T) {
+	model, _ := trainBlobs(t, 10, 4, 17)
+	s, _, _ := newTestServer(t, model, Options{MaxBatch: 4, Workers: 2})
+	x := blobRows(10, 10, 18)
+	b := sparse.NewBuilder(x.Rows, x.Cols)
+	dense := &PredictRequest{Embed: true}
+	sparseReq := &PredictRequest{Embed: true}
+	for i := 0; i < x.Rows; i++ {
+		dense.Samples = append(dense.Samples, DenseSample(x.RowView(i)))
+		sp := map[int]float64{}
+		for j, v := range x.RowView(i) {
+			if v != 0 {
+				sp[j] = v
+				b.Add(i, j, v)
+			}
+		}
+		sparseReq.Samples = append(sparseReq.Samples, SparseSample(sp))
+	}
+	csr := b.Build()
+	cases := []struct {
+		name      string
+		req       *PredictRequest
+		classes   []int
+		embedding *mat.Dense
+	}{
+		{"dense", dense, model.PredictBatch(x), model.ProjectBatch(x, nil)},
+		{"sparse", sparseReq, model.PredictBatchCSR(csr), model.ProjectBatchCSR(csr, nil)},
+	}
+	for _, tc := range cases {
+		before := s.metrics.batches.Value()
+		resp, err := s.Predict(ctxT(t), tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := s.metrics.batches.Value() - before; got != 3 {
+			t.Errorf("%s: 10 rows at MaxBatch 4 ran in %d batches, want 3", tc.name, got)
+		}
+		for i := range tc.classes {
+			if resp.Classes[i] != tc.classes[i] {
+				t.Fatalf("%s row %d: class %d, PredictBatch says %d", tc.name, i, resp.Classes[i], tc.classes[i])
+			}
+			for d, want := range tc.embedding.RowView(i) {
+				if math.Float64bits(resp.Embeddings[i][d]) != math.Float64bits(want) {
+					t.Fatalf("%s row %d dim %d: embedding %v, ProjectBatch says %v", tc.name, i, d, resp.Embeddings[i][d], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCloseWhileWorkersBusy closes the server while its workers drain a
+// queue filled before they started, with more requests racing Close.
+// Every request queued before Close must be answered; a racing request
+// is answered or fails with ErrShuttingDown; Close returns only once
+// every worker has exited, and no caller is left waiting.
+func TestCloseWhileWorkersBusy(t *testing.T) {
+	model, probes := trainBlobs(t, 10, 3, 14)
+	s := newHeldServer(t, model, Options{Workers: 2, MaxBatch: 2})
+	queued := make([]*pending, 16)
+	for i := range queued {
+		var err error
+		if queued[i], err = enqueueReq(t, s, &PredictRequest{Sample: DenseSample(probes.RowView(i % 3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := ctxT(t)
+	const racers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, racers)
+	got := make([]int, racers)
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			resp, err := s.Predict(ctx, &PredictRequest{Sample: DenseSample(probes.RowView(g % 3))})
+			if err == nil {
+				got[g] = resp.Classes[0]
+			}
+			errs[g] = err
+		}(g)
+	}
+	s.startWorkers()
+	cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Close(cctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range queued {
+		select {
+		case <-p.done:
+		default:
+			t.Fatalf("request %d was queued before Close but never answered", i)
+		}
+		if p.err != nil {
+			t.Fatalf("request %d: %v", i, p.err)
+		}
+		if want := model.PredictVec(probes.RowView(i % 3)); p.classes[0] != want {
+			t.Fatalf("request %d: got class %d, want %d", i, p.classes[0], want)
+		}
+	}
+	wg.Wait()
+	for g, err := range errs {
+		switch {
+		case err == nil:
+			if want := model.PredictVec(probes.RowView(g % 3)); got[g] != want {
+				t.Errorf("racer %d: got class %d, want %d", g, got[g], want)
+			}
+		case !errors.Is(err, ErrShuttingDown):
+			t.Errorf("racer %d: %v, want an answer or ErrShuttingDown", g, err)
+		}
 	}
 }
 
@@ -308,48 +513,58 @@ func TestReloadFromFileErrors(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejects drives enqueue directly (no dispatcher attached) so
-// the overflow path is deterministic.
+// TestQueueFullRejects pins request-granular admission: a request whose
+// rows do not all fit in the queue is rejected whole — a 503, every one
+// of its samples counted in queue_rejects, nothing of it queued — never
+// split into a head that runs and a tail that fails.  The workers are
+// held, so the queue state is deterministic.
 func TestQueueFullRejects(t *testing.T) {
-	s := &Server{opts: Options{}.withDefaults(), queue: make(chan *item, 1)}
-	s.metrics = newMetrics(func() int64 { return int64(len(s.queue)) }, func() int64 { return 0 })
-	p := newPending(3, false)
-	items := make([]*item, 3)
-	for i := range items {
-		items[i] = &item{p: p, idx: i, dense: []float64{1}, width: 1}
+	model, probes := trainBlobs(t, 10, 3, 13)
+	s := newHeldServer(t, model, Options{QueueDepth: 2})
+	one := &PredictRequest{Sample: DenseSample(probes.RowView(0))}
+	if _, err := enqueueReq(t, s, one); err != nil {
+		t.Fatal(err)
 	}
-	s.enqueue(p, items)
-	if err := p.failure(); err != ErrQueueFull {
+	two := &PredictRequest{Samples: []Sample{DenseSample(probes.RowView(1)), DenseSample(probes.RowView(2))}}
+	if _, err := enqueueReq(t, s, two); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if got := s.metrics.queueRejects.Value(); got != 2 {
-		t.Fatalf("queueRejects = %d, want 2", got)
+	body, err := json.Marshal(two)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(s.queue) != 1 {
-		t.Fatalf("queued %d items, want 1", len(s.queue))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(string(body))))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("http %d (Retry-After %q), want a retryable 503", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if got := s.metrics.queueRejects.Value(); got != 4 {
+		t.Fatalf("queueRejects = %d, want 4 (both samples of both rejected requests)", got)
+	}
+	if len(s.queue) != 1 || s.queued.Load() != 1 {
+		t.Fatalf("queue holds %d entries, %d samples; want only the first request", len(s.queue), s.queued.Load())
+	}
+	// The rejected request took nothing with it: a request that fits
+	// still gets in.
+	if _, err := enqueueReq(t, s, one); err != nil {
+		t.Fatalf("fitting request after a reject: %v", err)
 	}
 }
 
-// TestModelShapeConflict exercises the mid-flight reload guard: items
-// validated against one model must fail cleanly if a swapped model has a
-// different feature count by the time their batch runs.
+// TestModelShapeConflict exercises the mid-flight reload guard: a
+// request validated against one model must fail cleanly if a swapped
+// model has a different feature count by the time its batch runs.
 func TestModelShapeConflict(t *testing.T) {
 	modelA, _ := trainBlobs(t, 10, 3, 9)
-	s, _, _ := newTestServer(t, modelA, Options{MaxWait: time.Hour})
+	s, _, _ := newTestServer(t, modelA, Options{})
 	modelB, _ := trainBlobs(t, 6, 3, 10) // different feature count
 	if _, err := s.Swap(modelB); err != nil {
 		t.Fatal(err)
 	}
-	p := newPending(1, false)
-	it := &item{p: p, idx: 0, model: DefaultModelName, dense: make([]float64, 10), width: 10}
-	s.runBatch([]*item{it})
-	select {
-	case <-p.done:
-	case <-time.After(time.Second):
-		t.Fatal("pending never settled")
-	}
-	if err := p.failure(); err != ErrModelShape {
-		t.Fatalf("err = %v, want ErrModelShape", err)
+	p := &pending{model: DefaultModelName, rows: []row{{dense: make([]float64, 10)}}, classes: make([]int, 1)}
+	s.runBatch(new(worker), []*pending{p})
+	if !errors.Is(p.err, ErrModelShape) {
+		t.Fatalf("err = %v, want ErrModelShape", p.err)
 	}
 }
 
