@@ -54,12 +54,16 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Active fuzzing of the kernel oracles (the same targets run as plain
+# Active fuzzing of the kernel oracles and of the request decoders,
+# held differentially to encoding/json (the same targets run as plain
 # regression tests from the checked-in corpus during `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmShapes -fuzztime=30s ./internal/blas
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=30s ./internal/sparse
 	$(GO) test -fuzz=FuzzCholUpdate -fuzztime=30s ./internal/decomp
+	$(GO) test -run=XXX -fuzz='^FuzzDecodePredict$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run=XXX -fuzz='^FuzzDecodeObserve$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run=XXX -fuzz='^FuzzSkimPredict$$' -fuzztime=30s ./internal/serve
 
 # Regenerate every table and figure at laptop scale (minutes).
 repro:

@@ -195,9 +195,8 @@ func main() {
 // it keeps shutdown prompt: http.Server.Shutdown waits up to five
 // seconds before closing a connection that was accepted but never
 // carried a request (a client transport's lost dial race leaves exactly
-// that), which would otherwise eat the whole -drain-timeout budget
-// before the dispatcher drain runs.  Must stay below the default
-// -drain-timeout.
+// that), which would otherwise hold the listener shutdown for its whole
+// -drain-timeout.  Must stay below the default -drain-timeout.
 const readHeaderTimeout = 2 * time.Second
 
 // run dispatches on -role and blocks until a shutdown signal arrives,
@@ -362,12 +361,15 @@ func watchAndReload(cfg config, s *serve.Server, logger *obs.Logger) func() {
 }
 
 // serveUntilShutdown runs handler on cfg.addr until a shutdown signal,
-// then drains the listener within -drain-timeout and returns the drain
-// context for the caller's own cleanup.
-func serveUntilShutdown(cfg config, handler http.Handler, logger *obs.Logger, ready chan<- net.Addr, shutdown <-chan os.Signal) (context.Context, context.CancelFunc, error) {
+// then shuts the listener down within -drain-timeout.  The caller's own
+// drain then gets a fresh -drain-timeout of its own: a listener
+// shutdown can spend its whole budget waiting out a connection a client
+// dialed but never used, and that must not leave the dispatcher drain an
+// expired deadline when nothing is in flight.
+func serveUntilShutdown(cfg config, handler http.Handler, logger *obs.Logger, ready chan<- net.Addr, shutdown <-chan os.Signal) error {
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	hs := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
@@ -380,17 +382,17 @@ func serveUntilShutdown(cfg config, handler http.Handler, logger *obs.Logger, re
 	case sig := <-shutdown:
 		logger.Info("draining", "signal", sig.String(), "timeout", cfg.drainTimeout.String())
 	case err := <-serveErr:
-		return nil, nil, fmt.Errorf("listener failed: %w", err)
+		return fmt.Errorf("listener failed: %w", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		logger.Warn("listener shutdown incomplete", "err", err.Error())
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		cancel()
-		return nil, nil, err
+		return err
 	}
-	return ctx, cancel, nil
+	return nil
 }
 
 // runWorker is the single-replica serving path: one serve.Server over a
@@ -445,10 +447,10 @@ func runWorker(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr
 		}
 	}
 
-	ctx, cancel, err := serveUntilShutdown(cfg, s.Handler(), logger, ready, shutdown)
-	if err != nil {
+	if err := serveUntilShutdown(cfg, s.Handler(), logger, ready, shutdown); err != nil {
 		return err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	stopReload()
 	if debugSrv != nil {
@@ -596,13 +598,11 @@ func runRouter(cfg config, logger *obs.Logger, ready chan<- net.Addr, shutdown <
 	mux := http.NewServeMux()
 	mux.Handle("/", r.Handler())
 	mountClusterEndpoints(mux, fed, engine)
-	_, cancel, err := serveUntilShutdown(cfg, mux, logger, ready, shutdown)
-	if err != nil {
+	if err := serveUntilShutdown(cfg, mux, logger, ready, shutdown); err != nil {
 		stopTelemetry()
 		r.Close()
 		return err
 	}
-	defer cancel()
 	stopTelemetry()
 	r.Close()
 	flushArtifacts(cfg, kit.tracer, logger, r.Registry())
@@ -738,12 +738,12 @@ func runAll(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, s
 			trainer.Metrics().WritePrometheus(w)
 		}
 	})
-	ctx, cancel, err := serveUntilShutdown(cfg, mux, logger, ready, shutdown)
-	if err != nil {
+	if err := serveUntilShutdown(cfg, mux, logger, ready, shutdown); err != nil {
 		stopTelemetry()
 		r.Close()
 		return err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	stopReload()
 	stopTelemetry()

@@ -572,3 +572,24 @@ func TestSLOSmoke(t *testing.T) {
 		t.Errorf("bundle trigger = %q", bundle.Trigger)
 	}
 }
+
+// TestDrainOutlivesIdleDial dials the worker without ever sending a
+// request, so http.Server.Shutdown waits out its whole -drain-timeout on
+// that connection.  The dispatcher drain after it has its own deadline
+// and nothing in flight, so shutdown must still end cleanly rather than
+// report "drain incomplete".
+func TestDrainOutlivesIdleDial(t *testing.T) {
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "m.bin")
+	trainAndSave(t, modelPath, 37)
+	base, _, stop := startServer(t, config{
+		modelPath:    modelPath,
+		drainTimeout: 300 * time.Millisecond, // below readHeaderTimeout
+	})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stop() // fails the test if run reports an error
+}

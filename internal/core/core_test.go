@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -508,5 +509,46 @@ func TestFitSROperatorMatchesDense(t *testing.T) {
 	}
 	if d := mat.MaxAbsDiff(op.W, dn.W); d > 1e-8 {
 		t.Fatalf("operator SR differs from dense SR by %v", d)
+	}
+}
+
+// TestLoadRejectsMalformedModels feeds Load gob streams no Fit could
+// write.  The first is the 5×0 three-class model with no centroids that
+// used to load cleanly and then panic in PredictBatch.
+func TestLoadRejectsMalformedModels(t *testing.T) {
+	ok := func() modelWire {
+		return modelWire{
+			Rows: 3, Cols: 2, W: []float64{1, 2, 3, 4, 5, 6}, B: []float64{0, 1},
+			NumClasses: 3, Alpha: 1, Centroids: []float64{1, 2, 3, 4, 5, 6},
+		}
+	}
+	cases := map[string]func(*modelWire){
+		"zero cols":          func(w *modelWire) { *w = modelWire{Rows: 5, Cols: 0, NumClasses: 3} },
+		"zero rows":          func(w *modelWire) { w.Rows, w.W = 0, nil },
+		"one class":          func(w *modelWire) { w.NumClasses, w.Centroids = 1, w.Centroids[:2] },
+		"NaN weight":         func(w *modelWire) { w.W[4] = math.NaN() },
+		"infinite bias":      func(w *modelWire) { w.B[1] = math.Inf(-1) },
+		"infinite centroid":  func(w *modelWire) { w.Centroids[0] = math.Inf(1) },
+		"centroid shape":     func(w *modelWire) { w.Centroids = w.Centroids[:4] },
+		"weights shape":      func(w *modelWire) { w.W = w.W[:5] },
+		"overflowing header": func(w *modelWire) { w.Rows, w.Cols, w.W, w.B = 1<<32, 1<<32, nil, nil },
+	}
+	load := func(w modelWire) error {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		return err
+	}
+	if err := load(ok()); err != nil {
+		t.Fatalf("well-formed model rejected: %v", err)
+	}
+	for name, corrupt := range cases {
+		w := ok()
+		corrupt(&w)
+		if err := load(w); err == nil {
+			t.Errorf("%s: Load accepted the model", name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -562,13 +563,19 @@ func LoadFile(path string) (*Model, error) {
 	return Load(f)
 }
 
-// Load deserializes a model written by Save.
+// Load deserializes a model written by Save.  It rejects a model no Fit
+// could have produced: an empty weight matrix, fewer than two classes,
+// non-finite weights, biases or centroids, or arrays whose lengths do
+// not match the declared shape.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	if len(wire.W) != wire.Rows*wire.Cols {
+	if err := wire.validate(); err != nil {
+		return nil, err
+	}
+	if !holds(wire.W, wire.Rows, wire.Cols) {
 		return nil, fmt.Errorf("core: corrupt model: %d values for %dx%d", len(wire.W), wire.Rows, wire.Cols)
 	}
 	if len(wire.B) != wire.Cols {
@@ -581,10 +588,41 @@ func Load(r io.Reader) (*Model, error) {
 		Alpha:      wire.Alpha,
 	}
 	if len(wire.Centroids) > 0 {
-		if len(wire.Centroids) != wire.NumClasses*wire.Cols {
+		if !holds(wire.Centroids, wire.NumClasses, wire.Cols) {
 			return nil, fmt.Errorf("core: corrupt model: %d centroid values for %dx%d", len(wire.Centroids), wire.NumClasses, wire.Cols)
 		}
 		model.Centroids = mat.NewDenseData(wire.NumClasses, wire.Cols, wire.Centroids)
 	}
 	return model, nil
+}
+
+var (
+	errEmptyModel     = errors.New("core: corrupt model: empty weight matrix")
+	errFewClasses     = errors.New("core: corrupt model: fewer than two classes")
+	errNonFiniteModel = errors.New("core: corrupt model: non-finite weight, bias or centroid")
+)
+
+// validate rejects the header and values no Fit could write; Load checks
+// the array lengths against the header after it.
+func (w *modelWire) validate() error {
+	switch {
+	case w.Rows <= 0 || w.Cols <= 0:
+		return errEmptyModel
+	case w.NumClasses < 2:
+		return errFewClasses
+	}
+	for _, part := range [][]float64{w.W, w.B, w.Centroids} {
+		for _, v := range part {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return errNonFiniteModel
+			}
+		}
+	}
+	return nil
+}
+
+// holds reports whether data is exactly a rows×cols array (cols > 0),
+// without forming the product, which a corrupt header could overflow.
+func holds(data []float64, rows, cols int) bool {
+	return len(data)%cols == 0 && len(data)/cols == rows
 }

@@ -550,8 +550,15 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var pr serve.PredictRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
+	// Read the body under the worker's default cap and check only its
+	// syntax, model and sample count: the worker decodes the samples from
+	// these same bytes, which are forwarded as received.
+	body, err := serve.ReadBody(w, req, serve.DefaultMaxBodyBytes)
+	var pr *serve.PredictRequest
+	if err == nil {
+		pr, err = serve.SkimPredict(body)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
 		return
 	}
@@ -565,7 +572,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		ctx, root = r.tracer.StartRoot(ctx, "route")
 	}
 	defer root.End()
-	resp, err := r.Predict(ctx, &pr)
+	resp, err := r.Predict(ctx, pr)
 	if err != nil {
 		code := serve.StatusCode(err)
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {

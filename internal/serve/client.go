@@ -107,7 +107,7 @@ func SparseSample(features map[int]float64) Sample { return Sample{Sparse: featu
 
 // Predict classifies the samples and returns one class per sample.
 func (c *Client) Predict(ctx context.Context, samples ...Sample) ([]int, error) {
-	resp, err := c.do(ctx, PredictRequest{Samples: samples})
+	resp, err := c.do(ctx, &PredictRequest{Samples: samples})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (c *Client) Predict(ctx context.Context, samples ...Sample) ([]int, error) 
 
 // PredictModel classifies the samples against the named registry model.
 func (c *Client) PredictModel(ctx context.Context, model string, samples ...Sample) ([]int, error) {
-	resp, err := c.do(ctx, PredictRequest{Samples: samples, Model: model})
+	resp, err := c.do(ctx, &PredictRequest{Samples: samples, Model: model})
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func (c *Client) PredictModel(ctx context.Context, model string, samples ...Samp
 // PredictEmbed classifies the samples and also returns their
 // (c−1)-dimensional embeddings.
 func (c *Client) PredictEmbed(ctx context.Context, samples ...Sample) ([]int, [][]float64, error) {
-	resp, err := c.do(ctx, PredictRequest{Samples: samples, Embed: true})
+	resp, err := c.do(ctx, &PredictRequest{Samples: samples, Embed: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -146,12 +146,26 @@ func (c *Client) PredictOne(ctx context.Context, s Sample) (int, error) {
 }
 
 // PredictRaw sends a fully-formed request and returns the raw response —
-// the HTTP transport the router's remote backends forward through.
+// the HTTP transport the router's remote backends forward through.  A
+// request from SkimPredict goes out as the bytes it was skimmed from.
 func (c *Client) PredictRaw(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
-	return c.do(ctx, *req)
+	return c.do(ctx, req)
 }
 
-func (c *Client) do(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
+// do sends req, retrying per c.Retry.  The body is built once and every
+// attempt sends the same bytes.
+func (c *Client) do(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
+	body, want := req.body, req.bodySamples
+	if body == nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
+		want = len(req.Samples)
+	}
+	if want == 0 {
+		want = 1 // shorthand single-sample form
+	}
 	attempts := 1
 	if c.Retry != nil && c.Retry.MaxAttempts > 1 {
 		attempts = c.Retry.MaxAttempts
@@ -164,7 +178,7 @@ func (c *Client) do(ctx context.Context, req PredictRequest) (*PredictResponse, 
 			}
 		}
 		var resp *PredictResponse
-		resp, err = c.doOnce(ctx, req)
+		resp, err = c.doOnce(ctx, body, want)
 		if err == nil {
 			return resp, nil
 		}
@@ -216,11 +230,9 @@ func (c *Client) waitBackoff(ctx context.Context, k int, cause error) error {
 	return ctx.Err()
 }
 
-func (c *Client) doOnce(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+// doOnce posts body as one predict attempt and checks that the reply
+// answers want samples.
+func (c *Client) doOnce(ctx context.Context, body []byte, want int) (*PredictResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/predict", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -238,10 +250,6 @@ func (c *Client) doOnce(ctx context.Context, req PredictRequest) (*PredictRespon
 	var out PredictResponse
 	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("serve: decoding predict response: %w", err)
-	}
-	want := len(req.Samples)
-	if want == 0 {
-		want = 1 // shorthand single-sample form
 	}
 	if len(out.Classes) != want {
 		return nil, fmt.Errorf("serve: server returned %d classes for %d samples", len(out.Classes), want)

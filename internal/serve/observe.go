@@ -69,9 +69,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) int {
 	}
 	ctx, root := s.startRequestSpan(r.Context(), "observe", r.Header)
 	defer root.End()
-	var req ObserveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := ReadBody(w, r, s.opts.MaxBodyBytes)
+	if err != nil {
+		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	req, err := decodeObserve(body)
+	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
 	if len(req.Samples) == 0 {

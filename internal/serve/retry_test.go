@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,5 +174,66 @@ func TestShedVsErrorDistinct(t *testing.T) {
 	}
 	if got, want := st.Error(), "serve: http 400: no samples"; got != want {
 		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}
+
+// TestRetryResendsOneBody: a retried predict builds its body once, and
+// every attempt sends exactly those bytes — the typed request's
+// encoding, or verbatim the bytes a skimmed request was read from.
+func TestRetryResendsOneBody(t *testing.T) {
+	var mu sync.Mutex
+	var bodies [][]byte
+	var remaining atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		bodies = append(bodies, body)
+		mu.Unlock()
+		if remaining.Add(-1) >= 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(PredictResponse{Classes: []int{2, 0}, ModelSeq: 1})
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	c.Retry = &RetryPolicy{MaxAttempts: 4, Seed: 3}
+	c.Sleep = func(time.Duration) {}
+
+	typed := &PredictRequest{Samples: []Sample{DenseSample([]float64{1, 0.1, -1e-300}), SparseSample(map[int]float64{3: 2, 1: -1})}}
+	encoded, err := json.Marshal(typed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := []byte(`{ "samples":[{"dense":[1.0, 1e-1]}, {"sparse":{"3":2e0}}], "model" : "té" }`)
+	skimmed, err := SkimPredict(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		req  *PredictRequest
+		want []byte
+	}{{"typed", typed, encoded}, {"skimmed", skimmed, raw}} {
+		mu.Lock()
+		bodies = nil
+		mu.Unlock()
+		remaining.Store(2) // two sheds, then success
+		if _, err := c.PredictRaw(context.Background(), tc.req); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mu.Lock()
+		if len(bodies) != 3 {
+			t.Fatalf("%s: %d attempts, want 3", tc.name, len(bodies))
+		}
+		for i, b := range bodies {
+			if !bytes.Equal(b, tc.want) {
+				t.Fatalf("%s: attempt %d sent %q, want %q", tc.name, i, b, tc.want)
+			}
+		}
+		mu.Unlock()
 	}
 }

@@ -118,7 +118,7 @@ func (o Options) withDefaults() Options {
 		o.MaxRequestSamples = 1024
 	}
 	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 32 << 20
+		o.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if o.DefaultModel == "" {
 		o.DefaultModel = DefaultModelName
@@ -348,8 +348,8 @@ func (s *Server) observeLatencyTraced(sec float64, trace obs.TraceID) {
 }
 
 // Sample is one input vector: exactly one of Dense or Sparse must be set.
-// Sparse maps feature index → value (JSON object keys are strings on the
-// wire; encoding/json converts).
+// Sparse maps feature index → value (JSON object keys are base-10
+// integer strings on the wire).
 type Sample struct {
 	Dense  []float64       `json:"dense,omitempty"`
 	Sparse map[int]float64 `json:"sparse,omitempty"`
@@ -366,6 +366,12 @@ type PredictRequest struct {
 	// Embed asks for the (c−1)-dimensional embeddings alongside classes.
 	Embed bool `json:"embed,omitempty"`
 	Sample
+
+	// body is the JSON the request was skimmed from (SkimPredict), and
+	// bodySamples its sample count.  When body is set it is the request:
+	// Client sends it verbatim and Server.Predict decodes it.
+	body        []byte
+	bodySamples int
 }
 
 // PredictResponse is the predict reply: Classes[i] answers Samples[i].
@@ -535,9 +541,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	defer root.End()
 	trace = root.TraceID()
 	_, sp := obs.StartSpan(ctx, "parse")
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := ReadBody(w, r, s.opts.MaxBodyBytes)
+	if err != nil {
+		sp.End()
+		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	req, err := decodePredict(body)
+	if err != nil {
 		sp.End()
 		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
 	}
@@ -561,9 +571,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	})
 }
 
-// buildPending validates one predict request against the registry and
-// converts it to dispatcher form, returning typed errors.
+// buildPending decodes req's body when it carries one, validates the
+// request against the registry and converts it to dispatcher form,
+// returning typed errors.
 func (s *Server) buildPending(req *PredictRequest) (*pending, error) {
+	if req.body != nil {
+		decoded, err := decodePredict(req.body)
+		if err != nil {
+			return nil, badRequestf("bad JSON: %v", err)
+		}
+		req = &decoded
+	}
 	samples := req.Samples
 	if len(samples) == 0 && (len(req.Dense) > 0 || len(req.Sparse) > 0) {
 		samples = []Sample{req.Sample}

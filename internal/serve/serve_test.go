@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -157,6 +158,9 @@ func TestBadRequests(t *testing.T) {
 		want       int
 	}{
 		{"bad json", "{", http.StatusBadRequest},
+		{"trailing data", `{"sparse":{"0":1}} {}`, http.StatusBadRequest},
+		{"out of float64 range", `{"sparse":{"0":1e400}}`, http.StatusBadRequest},
+		{"wrong field type", `{"sparse":{"0":1},"embed":"yes"}`, http.StatusBadRequest},
 		{"no samples", "{}", http.StatusBadRequest},
 		{"wrong dense width", `{"dense":[1,2,3]}`, http.StatusBadRequest},
 		{"sparse index out of range", `{"sparse":{"99":1}}`, http.StatusBadRequest},
@@ -169,6 +173,16 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: got http %d, want %d", tc.name, got, tc.want)
 		}
 	}
+	// An empty body is a JSON syntax error, as on /v1/observe.
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unexpected end of JSON input") {
+		t.Errorf("empty body: http %d %s", resp.StatusCode, msg)
+	}
 	// Shorthand single-sample form works.
 	body, err := json.Marshal(map[string]any{"dense": probes.RowView(2)})
 	if err != nil {
@@ -178,7 +192,7 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("shorthand form: http %d", got)
 	}
 	// Wrong methods.
-	resp, err := http.Get(ts.URL + "/v1/predict")
+	resp, err = http.Get(ts.URL + "/v1/predict")
 	if err != nil {
 		t.Fatal(err)
 	}
