@@ -54,9 +54,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Active fuzzing of the kernel oracles and of the request decoders,
-# held differentially to encoding/json (the same targets run as plain
-# regression tests from the checked-in corpus during `make test`).
+# Active fuzzing of the kernel oracles, of the request decoders (held
+# differentially to encoding/json), and of the Prometheus exposition
+# parser the federation layer reads replica /metrics with (the same
+# targets run as plain regression tests from the checked-in corpus
+# during `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmShapes -fuzztime=30s ./internal/blas
 	$(GO) test -fuzz=FuzzCSRMulVec -fuzztime=30s ./internal/sparse
@@ -64,6 +66,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz='^FuzzDecodePredict$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run=XXX -fuzz='^FuzzDecodeObserve$$' -fuzztime=30s ./internal/serve
 	$(GO) test -run=XXX -fuzz='^FuzzSkimPredict$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run=XXX -fuzz='^FuzzParsePrometheus$$' -fuzztime=30s ./internal/obs
 
 # Regenerate every table and figure at laptop scale (minutes).
 repro:
@@ -94,8 +97,9 @@ bench-record:
 	if [ $$k -gt 0 ]; then $(GO) run ./cmd/srdareport benchdiff BENCH_$$((k-1)).json BENCH_$$k.json || true; fi
 
 # Tracing acceptance smoke: the serving path under 100+ concurrent
-# requests must export a request→batch→kernel Chrome trace, quantile
-# gauges on /metrics, and flush both artifacts on SIGTERM.  The
+# requests must export a request→batch→kernel Chrome trace, the
+# p50/p95/p99 gauges read from the srdaserve_request_duration_seconds
+# histogram on /metrics, and flush both artifacts on SIGTERM.  The
 # cross-process leg runs a real router + worker pair, merges their
 # per-process trace files with `srdareport tracemerge` into one
 # timeline under a single TraceID, and validates the p99-breach flight
@@ -135,11 +139,12 @@ online-smoke:
 # through pending → firing → resolved with a schema-valid slo_burn
 # flight bundle on disk.  Wall-clock burn windows make this a
 # multi-second test, so it is gated behind SRDA_SLO_SMOKE and runs
-# fresh (no cache).  The frozen-clock federation/SLO lifecycle tests
-# and the fleet-view golden run alongside it.
+# fresh (no cache).  The frozen-clock federation/SLO lifecycle tests,
+# the histogram accuracy test, the exact cluster-merge test and the
+# fleet-view golden run alongside it.
 slo-smoke:
 	SRDA_SLO_SMOKE=1 $(GO) test -run 'TestSLOSmoke' -count=1 -v ./cmd/srdaserve
-	$(GO) test -run 'TestSLOLifecycle|TestClusterMetricsGolden|TestClusterSnapshotGolden|TestFederatorSLOIntegration' -count=1 -v ./internal/telemetry
+	$(GO) test -run 'TestSLOLifecycle|TestClusterMetricsGolden|TestClusterQuantilesExactMerge|TestHistogramQuantileAccuracy|TestClusterSnapshotGolden|TestFederatorSLOIntegration' -count=1 -v ./internal/telemetry ./internal/obs
 	$(GO) test -run 'TestTopOnceGolden' -count=1 -v ./cmd/srdareport
 
 examples:

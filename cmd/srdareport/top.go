@@ -2,10 +2,11 @@ package main
 
 // The top subcommand renders a router's /cluster/snapshot document as a
 // terminal fleet view: one row per replica with its scrape status and
-// derived request/error rates, the merged cluster-level CKMS quantiles,
-// and the SLO alert table.  The source is either a router base URL
-// (fetched live) or a snapshot JSON file (rendered offline, which is
-// also how the golden test pins the layout byte for byte).
+// derived request/error rates, the cluster-level quantiles merged from
+// replica histograms, and the SLO alert table.  The source is either a
+// router base URL (fetched live) or a snapshot JSON file (rendered
+// offline, which is also how the golden test pins the layout byte for
+// byte).
 
 import (
 	"errors"
@@ -142,9 +143,9 @@ func renderTop(w io.Writer, snap *telemetry.ClusterSnapshot) {
 		}
 	}
 	if len(snap.Quantiles) > 0 {
-		fmt.Fprintf(w, "\n%-28s %8s %9s %9s %9s\n", "CLUSTER QUANTILES", "COUNT", "P50", "P95", "P99")
+		fmt.Fprintf(w, "\n%-36s %8s %9s %9s %9s\n", "CLUSTER QUANTILES", "COUNT", "P50", "P95", "P99")
 		for _, q := range snap.Quantiles {
-			fmt.Fprintf(w, "%-28s %8d %9.4f %9.4f %9.4f\n", q.Metric, q.Count, q.P50, q.P95, q.P99)
+			fmt.Fprintf(w, "%-36s %8d %9.4f %9.4f %9.4f\n", q.Metric, q.Count, q.P50, q.P95, q.P99)
 		}
 	}
 	if len(snap.Alerts) > 0 {

@@ -58,9 +58,9 @@
 //
 // The router and all roles additionally run the cluster telemetry
 // plane: every -telemetry-every the process scrapes each replica's
-// /metrics (and CKMS latency-sketch snapshots) into a bounded in-memory
-// time-series store, tags the samples with a replica label, and
-// re-exposes the merged view on GET /cluster/metrics (deterministic
+// /metrics into a bounded in-memory time-series store, tags the samples
+// with a replica label, sums histogram buckets into cluster quantiles,
+// and re-exposes the merged view on GET /cluster/metrics (deterministic
 // Prometheus text) and GET /cluster/snapshot (the JSON fleet document
 // `srdareport top` renders).  -slo-config loads a srda-slo/v1 JSON
 // document of availability and latency-p99 objectives evaluated against
@@ -196,7 +196,11 @@ func main() {
 // seconds before closing a connection that was accepted but never
 // carried a request (a client transport's lost dial race leaves exactly
 // that), which would otherwise hold the listener shutdown for its whole
-// -drain-timeout.  Must stay below the default -drain-timeout.
+// -drain-timeout.  Must stay below the default -drain-timeout.  Request
+// bodies have their own deadline, serve.BodyReadTimeout, which
+// serve.ReadBody sets on every predict and observe body the router and
+// workers read; it is not a server-wide ReadTimeout, so a handler that
+// runs long after its body arrived keeps its connection.
 const readHeaderTimeout = 2 * time.Second
 
 // run dispatches on -role and blocks until a shutdown signal arrives,
@@ -574,7 +578,7 @@ func runRouter(cfg config, logger *obs.Logger, ready chan<- net.Addr, shutdown <
 		}
 		client := serve.NewClient(u)
 		backends = append(backends, &router.HTTPBackend{ReplicaName: u, Client: client})
-		targets = append(targets, telemetry.ClientTarget(u, client, client))
+		targets = append(targets, telemetry.ClientTarget(u, client))
 	}
 	if len(backends) == 0 {
 		return fmt.Errorf("-role=router needs -replicas with at least one worker URL")
@@ -587,7 +591,7 @@ func runRouter(cfg config, logger *obs.Logger, ready chan<- net.Addr, shutdown <
 	// The router federates itself too, so srdaroute_* series (request
 	// codes per replica, sheds, quota denials) land in the cluster store
 	// where availability SLOs can read them.
-	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
+	targets = append(targets, telemetry.RegistryTarget("router", r.Registry()))
 	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, r.Registry(), kit, logger)
 	if err != nil {
 		r.Close()
@@ -664,14 +668,13 @@ func runAll(cfg config, logger *obs.Logger, ready, debugReady chan<- net.Addr, s
 		return err
 	}
 	// Federation targets for the co-located tier: every worker's registry
-	// and latency sketches in-process (no HTTP round trip), plus the
-	// router's own series for availability SLOs.
+	// in-process (no HTTP round trip), plus the router's own series for
+	// availability SLOs.
 	targets := make([]telemetry.Target, 0, n+1)
 	for i, s := range workers {
-		targets = append(targets, telemetry.RegistryTarget(
-			fmt.Sprintf("worker-%d", i), s.LatencySketches, s.Registry()))
+		targets = append(targets, telemetry.RegistryTarget(fmt.Sprintf("worker-%d", i), s.Registry()))
 	}
-	targets = append(targets, telemetry.RegistryTarget("router", nil, r.Registry()))
+	targets = append(targets, telemetry.RegistryTarget("router", r.Registry()))
 	fed, engine, stopTelemetry, err := telemetryPlane(cfg, targets, r.Registry(), kit, logger)
 	if err != nil {
 		r.Close()

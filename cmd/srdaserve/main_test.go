@@ -290,9 +290,9 @@ func writeSLO(t *testing.T, dir, doc string) string {
 // acceptance path: -role=all with -slo-config must serve the federated
 // cluster exposition, the JSON fleet snapshot, and the alert table on
 // the router listener, with the replica-tagged worker series and the
-// merged CKMS cluster quantiles present after traffic — and every JSON
-// debug surface must say application/json while Prometheus surfaces say
-// the 0.0.4 text type.
+// cluster quantiles merged from replica histograms present after
+// traffic — and every JSON debug surface must say application/json
+// while Prometheus surfaces say the 0.0.4 text type.
 func TestAllRoleClusterTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "m.bin")
@@ -326,8 +326,8 @@ func TestAllRoleClusterTelemetry(t *testing.T) {
 
 	// Poll until a scrape after the predicts has landed: the router's
 	// routed-request counters (workers are called in-process in the all
-	// role, so request counts live in srdaroute_*) and the merged
-	// latency sketch both show up.
+	// role, so request counts live in srdaroute_*) and the cluster
+	// quantiles both show up.
 	deadline := time.Now().Add(10 * time.Second)
 	var metricsBody string
 	for {
@@ -351,7 +351,7 @@ func TestAllRoleClusterTelemetry(t *testing.T) {
 		// The router's own replica label survives federation renamed, so
 		// the tag never collides into a duplicate label name.
 		`srdaroute_requests_total{code="200",exported_replica="worker-`,
-		`srdacluster_quantile{metric="srdaserve_request_latency",quantile="0.99"}`,
+		`srdacluster_quantile{metric="srdaserve_request_duration_seconds",quantile="0.99"}`,
 		`srdaslo_alerts_firing{replica="router"} 0`,
 	} {
 		if !strings.Contains(metricsBody, want) {
@@ -417,9 +417,10 @@ func TestAllRoleClusterTelemetry(t *testing.T) {
 
 // TestRouterFederationEndToEnd runs a real worker process and a real
 // router process and checks the router's federation plane scrapes the
-// worker over HTTP: replica-tagged srdaserve_* series and the worker's
-// CKMS sketch (fetched from /v1/sketches) both reach /cluster/metrics,
-// and the snapshot's replica table marks the worker up.
+// worker over HTTP: replica-tagged srdaserve_* series and the cluster
+// quantiles summed from the worker's latency histogram both reach
+// /cluster/metrics, and the snapshot's replica table marks the worker
+// up.
 func TestRouterFederationEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "m.bin")
@@ -447,7 +448,7 @@ func TestRouterFederationEndToEnd(t *testing.T) {
 	for {
 		_, _, body := httpGet(t, ctx, routerBase+"/cluster/metrics")
 		if strings.Contains(body, `srdaserve_requests_total{code="200",endpoint="/v1/predict",replica="`+workerBase+`"}`) &&
-			strings.Contains(body, "srdacluster_quantile") {
+			strings.Contains(body, `srdacluster_quantile{metric="srdaserve_request_duration_seconds"`) {
 			break
 		}
 		if time.Now().After(deadline) {

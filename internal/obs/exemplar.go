@@ -1,9 +1,9 @@
 package obs
 
-// Exemplars link metrics back to traces: when a latency histogram or
-// quantile sketch records an outlier, the store keeps the TraceID of the
-// observation so a p99 spike on /metrics points at a concrete trace in
-// the Chrome-trace export instead of an anonymous aggregate.  Two kinds
+// Exemplars link metrics back to traces: when a latency histogram
+// records an outlier, the store keeps the TraceID of the observation so
+// a p99 spike on /metrics points at a concrete trace in the
+// Chrome-trace export instead of an anonymous aggregate.  Two kinds
 // are tracked per metric over a sliding observation window:
 //
 //	window_max  — the slowest observation in the current/last window

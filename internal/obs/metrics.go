@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -76,9 +75,6 @@ func promHeader(w io.Writer, name, help, kind string) {
 	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
 }
-
-// trimFloat renders a bucket bound the way Prometheus clients do.
-func trimFloat(v float64) string { return fmt.Sprintf("%g", v) }
 
 // writeLabelPair renders one name="value" pair with text-format label
 // escaping (backslash, quote, newline — and only those; %q would escape
@@ -199,7 +195,7 @@ type GaugeSample struct {
 }
 
 // gaugeVecFunc samples a labeled family of float gauges at exposition
-// time (per-tenant latency quantiles — state a sketch map already owns).
+// time (per-tenant latency quantiles — state a histogram map already owns).
 type gaugeVecFunc struct {
 	name, help string
 	labels     []string
@@ -332,106 +328,4 @@ func (v *CounterVec) writeProm(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s{%s} %d\n", v.name, sb.String(), e.c.Value())
 	}
-}
-
-// Histogram is a fixed-bucket cumulative histogram with wait-free
-// observation, rendered with Prometheus le-labeled cumulative buckets
-// plus _sum and _count.
-type Histogram struct {
-	name, help string
-	bounds     []float64 // upper bucket bounds, ascending; +Inf implicit
-	counts     []atomic.Int64
-	sumBits    atomic.Uint64
-	count      atomic.Int64
-	exemplars  *ExemplarStore // set once via AttachExemplars before use
-}
-
-// NewHistogram registers and returns a histogram with the given ascending
-// upper bucket bounds (+Inf is implicit).
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	h := &Histogram{
-		name:   name,
-		help:   help,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-	r.register(h)
-	return h
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// linear interpolation inside the chosen bucket, the way PromQL's
-// histogram_quantile does.  Values landing in the +Inf overflow bucket
-// are reported as the highest finite bound.  Returns NaN when nothing has
-// been observed.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.bounds {
-		cum += h.counts[i].Load()
-		if float64(cum) >= rank && cum > 0 {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			inBucket := float64(h.counts[i].Load())
-			if inBucket <= 0 {
-				return h.bounds[i]
-			}
-			prev := float64(cum) - inBucket
-			frac := (rank - prev) / inBucket
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lower + (h.bounds[i]-lower)*frac
-		}
-	}
-	// Overflow bucket: the best available bound is the largest finite one.
-	return h.bounds[len(h.bounds)-1]
-}
-
-func (h *Histogram) metricName() string { return h.name }
-
-func (h *Histogram) writeProm(w io.Writer) {
-	promHeader(w, h.name, h.help, "histogram")
-	var cum int64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, trimFloat(b), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", h.name, h.Sum())
-	fmt.Fprintf(w, "%s_count %d\n", h.name, h.count.Load())
 }

@@ -80,66 +80,81 @@ func TestCounterVecArityPanics(t *testing.T) {
 }
 
 // TestHistogramBuckets pins the bucket-assignment and cumulative-le
-// semantics: a value exactly on a bound lands in that bound's bucket
-// (le is inclusive), and rendered buckets are cumulative.
+// semantics on the shared grid: a value exactly on a bound lands in
+// that bound's bucket (le is inclusive), rendered buckets are
+// cumulative, and the exposition runs from the lowest through the
+// highest non-empty bucket (empty ones between included) plus +Inf.
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat", "Latency.", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.1, 0.5, 1.0, 5, 100} {
+	h := r.NewHistogram("lat", "Latency.")
+	for _, v := range []float64{1, 1.0625, 2, 2} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
+	if h.Count() != 4 {
+		t.Fatalf("count = %d, want 4", h.Count())
 	}
-	if math.Abs(h.Sum()-106.65) > 1e-9 {
-		t.Fatalf("sum = %g, want 106.65", h.Sum())
+	if h.Sum() != 6.0625 {
+		t.Fatalf("sum = %g, want 6.0625", h.Sum())
 	}
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	want := "# HELP lat Latency.\n# TYPE lat histogram\n" +
-		`lat_bucket{le="0.1"} 2` + "\n" + // 0.05 and the exactly-0.1 value
-		`lat_bucket{le="1"} 4` + "\n" +
-		`lat_bucket{le="10"} 5` + "\n" +
-		`lat_bucket{le="+Inf"} 6` + "\n" +
-		"lat_sum 106.65\nlat_count 6\n"
+		`lat_bucket{le="1"} 1` + "\n" + // exactly 2^0
+		`lat_bucket{le="1.0905077326652577"} 2` + "\n" + // 2^(1/8) holds 1.0625
+		`lat_bucket{le="1.189207115002721"} 2` + "\n" +
+		`lat_bucket{le="1.2968395546510096"} 2` + "\n" +
+		`lat_bucket{le="1.4142135623730951"} 2` + "\n" +
+		`lat_bucket{le="1.5422108254079407"} 2` + "\n" +
+		`lat_bucket{le="1.681792830507429"} 2` + "\n" +
+		`lat_bucket{le="1.8340080864093424"} 2` + "\n" +
+		`lat_bucket{le="2"} 4` + "\n" +
+		`lat_bucket{le="+Inf"} 4` + "\n" +
+		"lat_sum 6.0625\nlat_count 4\n"
 	if sb.String() != want {
 		t.Fatalf("exposition mismatch:\n got %q\nwant %q", sb.String(), want)
+	}
+
+	// An empty histogram renders only the +Inf bucket.
+	var empty Histogram
+	empty.name = "idle"
+	sb.Reset()
+	empty.writeProm(&sb)
+	if !strings.Contains(sb.String(), "idle_bucket{le=\"+Inf\"} 0\nidle_sum 0\nidle_count 0\n") ||
+		strings.Count(sb.String(), "_bucket") != 1 {
+		t.Fatalf("empty histogram exposition:\n%s", sb.String())
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("q", "help", []float64{1, 2, 4})
+	var h Histogram
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Fatal("empty histogram quantile is not NaN")
 	}
-	// 10 observations in (1,2]: the median interpolates inside that bucket.
+	// Ten observations of 1.5 share the bucket (2^(4/8), 2^(5/8)]; every
+	// quantile reads its representative, within (γ−1)/(γ+1) of 1.5.
 	for i := 0; i < 10; i++ {
 		h.Observe(1.5)
 	}
 	got := h.Quantile(0.5)
-	if got < 1 || got > 2 {
-		t.Fatalf("median %g outside the (1,2] bucket", got)
+	if want := 1.5422108254079407 * representative; got != want {
+		t.Fatalf("median = %v, want the bucket representative %v", got, want)
 	}
-	if math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("median = %g, want 1.5 (linear interpolation at rank 5 of 10)", got)
+	if math.Abs(got-1.5)/1.5 > relErrBound {
+		t.Fatalf("median %v is more than %.4f from 1.5", got, relErrBound)
 	}
-	// Values past the last bound report the largest finite bound.
-	h2 := r.NewHistogram("q2", "help", []float64{1, 2, 4})
-	h2.Observe(100)
-	if got := h2.Quantile(0.99); got != 4 {
-		t.Fatalf("overflow quantile = %g, want 4", got)
+	// Zero and negative values read as 0; values past the grid report
+	// its largest bound.
+	var zero Histogram
+	zero.Observe(0)
+	zero.Observe(-3)
+	if got := zero.Quantile(0.99); got != 0 {
+		t.Fatalf("underflow quantile = %v, want 0", got)
 	}
-}
-
-func TestHistogramAscendingBoundsEnforced(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-ascending bounds did not panic")
-		}
-	}()
-	r.NewHistogram("bad", "help", []float64{1, 1})
+	var over Histogram
+	over.Observe(1e300)
+	if got := over.Quantile(0.99); got != math.Ldexp(1, 30) {
+		t.Fatalf("overflow quantile = %v, want 2^30", got)
+	}
 }
 
 // TestConcurrentObserve hammers one histogram and one counter vec from
@@ -147,7 +162,7 @@ func TestHistogramAscendingBoundsEnforced(t *testing.T) {
 // the final counts check that no observation is lost.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("conc", "help", []float64{0.5, 1.5, 2.5})
+	h := r.NewHistogram("conc", "help")
 	v := r.NewCounterVec("conc_total", "help", "worker")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup

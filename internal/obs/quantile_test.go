@@ -1,5 +1,10 @@
 package obs
 
+// The quantile read of a Histogram is the project's latency sketch: a
+// DDSketch on the shared 2^(k/8) grid.  These tests pin its small-count
+// behaviour, its concurrency contract and the exact cross-replica merge
+// the federation layer relies on.
+
 import (
 	"math"
 	"math/rand"
@@ -7,116 +12,207 @@ import (
 	"testing"
 )
 
-// TestQuantileSketchRankBound drives seeded streams through the sketch
-// and asserts the CKMS guarantee: Query(q) returns an observed value
-// whose rank lies within (q±ε)·n of the exact sorted quantile.
-func TestQuantileSketchRankBound(t *testing.T) {
-	dists := []struct {
-		name string
-		gen  func(r *rand.Rand) float64
-	}{
-		{"uniform", func(r *rand.Rand) float64 { return r.Float64() }},
-		{"exponential", func(r *rand.Rand) float64 { return r.ExpFloat64() }},
-		{"lognormal", func(r *rand.Rand) float64 { return math.Exp(r.NormFloat64()) }},
+// mergeBuckets sums cumulative grid buckets from several histograms the
+// way the federation layer does: at every bound any source reports, each
+// source contributes its cumulative count at the largest bound it
+// reports at or below that one.
+func mergeBuckets(srcs ...[]Bucket) []Bucket {
+	seen := map[float64]bool{}
+	var les []float64
+	for _, s := range srcs {
+		for _, b := range s {
+			if !seen[b.LE] {
+				seen[b.LE] = true
+				les = append(les, b.LE)
+			}
+		}
 	}
-	const n = 20000
-	for _, d := range dists {
-		t.Run(d.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(42))
-			s := NewQuantileSketch()
-			vals := make([]float64, n)
-			for i := range vals {
-				v := d.gen(r)
-				vals[i] = v
-				s.Observe(v)
-			}
-			if s.Count() != n {
-				t.Fatalf("Count = %d, want %d", s.Count(), n)
-			}
-			sort.Float64s(vals)
-			for _, tgt := range DefaultLatencyTargets() {
-				got := s.Query(tgt.Q)
-				// The returned value must have been observed...
-				lo := sort.SearchFloat64s(vals, got)
-				if lo == n || vals[lo] != got {
-					t.Fatalf("q=%v: %v was never observed", tgt.Q, got)
+	sort.Float64s(les)
+	merged := make([]Bucket, 0, len(les))
+	for _, le := range les {
+		m := Bucket{LE: le}
+		for _, s := range srcs {
+			c := 0.0
+			for _, b := range s {
+				if b.LE > le {
+					break
 				}
-				// ...and its rank window must intersect (q±ε)·n.
-				hi := sort.Search(n, func(i int) bool { return vals[i] > got })
-				minRank := float64(lo + 1)
-				maxRank := float64(hi)
-				wantLo := (tgt.Q - tgt.Eps) * n
-				wantHi := (tgt.Q + tgt.Eps) * n
-				if maxRank < wantLo || minRank > wantHi {
-					t.Errorf("q=%v eps=%v: value %v spans ranks [%v, %v], want within [%v, %v]",
-						tgt.Q, tgt.Eps, got, minRank, maxRank, wantLo, wantHi)
-				}
+				c = b.Count
 			}
-		})
+			m.Count += c
+		}
+		merged = append(merged, m)
 	}
-}
-
-// TestQuantileSketchCompresses checks that memory stays sublinear in the
-// stream: 200k observations must not retain anywhere near 200k samples.
-func TestQuantileSketchCompresses(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	s := NewQuantileSketch()
-	const n = 200000
-	for i := 0; i < n; i++ {
-		s.Observe(r.Float64())
-	}
-	s.mu.Lock()
-	s.flush()
-	kept := len(s.samples)
-	s.mu.Unlock()
-	if kept > n/20 {
-		t.Fatalf("sketch kept %d of %d samples; compression is not working", kept, n)
-	}
+	return merged
 }
 
 func TestQuantileSketchEmpty(t *testing.T) {
-	s := NewQuantileSketch()
-	if !math.IsNaN(s.Query(0.5)) {
-		t.Fatalf("Query on empty sketch = %v, want NaN", s.Query(0.5))
+	var h Histogram
+	if got := h.Quantile(0.5); !math.IsNaN(got) {
+		t.Fatalf("Quantile on empty histogram = %v, want NaN", got)
 	}
-	if s.Count() != 0 {
-		t.Fatalf("Count = %d, want 0", s.Count())
+	if h.Count() != 0 {
+		t.Fatalf("Count = %d, want 0", h.Count())
+	}
+	bs := h.Buckets(nil)
+	if len(bs) != 1 || !math.IsInf(bs[0].LE, 1) || bs[0].Count != 0 {
+		t.Fatalf("empty histogram buckets = %v, want only +Inf with count 0", bs)
 	}
 }
 
-// TestQuantileSketchTwoValues pins the exact behavior the serving
+// TestQuantileSketchTwoValues pins the exact behaviour the serving
 // /metrics golden depends on: the two dyadic latencies the golden test
-// feeds yield p50 = first value, p95 = p99 = second value.
+// feeds sit on grid bounds, so p50 reads the first value's bucket
+// representative and p95 = p99 the second's.
 func TestQuantileSketchTwoValues(t *testing.T) {
-	s := NewQuantileSketch()
-	s.Observe(0.001953125)
-	s.Observe(0.25)
-	if got := s.Query(0.5); got != 0.001953125 {
-		t.Errorf("Query(0.5) = %v, want 0.001953125", got)
+	var h Histogram
+	h.Observe(0.001953125)
+	h.Observe(0.25)
+	if got, want := h.Quantile(0.5), 0.001953125*representative; got != want {
+		t.Errorf("Quantile(0.5) = %v, want %v", got, want)
 	}
-	if got := s.Query(0.95); got != 0.25 {
-		t.Errorf("Query(0.95) = %v, want 0.25", got)
+	for _, q := range []float64{0.95, 0.99} {
+		if got, want := h.Quantile(q), 0.25*representative; got != want {
+			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+		}
 	}
-	if got := s.Query(0.99); got != 0.25 {
-		t.Errorf("Query(0.99) = %v, want 0.25", got)
+	for q, v := range map[float64]float64{0.5: 0.001953125, 0.99: 0.25} {
+		if got := h.Quantile(q); math.Abs(got-v)/v > relErrBound*(1+1e-12) {
+			t.Errorf("Quantile(%v) = %v is more than %.4f from %v", q, got, relErrBound, v)
+		}
 	}
 }
 
+// TestQuantileSketchConcurrent reads quantiles and buckets while another
+// goroutine observes: under -race this checks that a read needs no lock,
+// and every snapshot must be a valid cumulative histogram whose total
+// never goes backwards.
 func TestQuantileSketchConcurrent(t *testing.T) {
-	s := NewQuantileSketch()
+	var h Histogram
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		r := rand.New(rand.NewSource(1))
 		for i := 0; i < 5000; i++ {
-			s.Observe(r.Float64())
+			h.Observe(r.Float64())
 		}
 	}()
+	var buf []Bucket
+	last := 0.0
 	for i := 0; i < 100; i++ {
-		s.Query(0.5) // must not race with Observe
+		h.Quantile(0.5)
+		buf = h.Buckets(buf[:0])
+		for j := 1; j < len(buf); j++ {
+			if buf[j].Count < buf[j-1].Count || !(buf[j].LE > buf[j-1].LE) {
+				t.Fatalf("snapshot %d is not cumulative at bucket %d: %v", i, j, buf)
+			}
+		}
+		total := buf[len(buf)-1].Count
+		if total < last {
+			t.Fatalf("snapshot %d total %v went back from %v", i, total, last)
+		}
+		last = total
 	}
 	<-done
-	if s.Count() != 5000 {
-		t.Fatalf("Count = %d, want 5000", s.Count())
+	if h.Count() != 5000 {
+		t.Fatalf("Count = %d, want 5000", h.Count())
+	}
+}
+
+// TestMergeSketchesRankError is the cross-replica accuracy contract:
+// K replicas each observe a disjoint shard of one latency stream; the
+// summed buckets must answer p50/p95/p99 exactly as one histogram fed
+// the union would, and so within the grid's relative-error bound of the
+// exact order statistic over the union.
+func TestMergeSketchesRankError(t *testing.T) {
+	const (
+		replicas = 4
+		perRep   = 20000
+	)
+	rng := rand.New(rand.NewSource(42))
+	union := make([]float64, 0, replicas*perRep)
+	var all Histogram
+	srcs := make([][]Bucket, 0, replicas)
+	for r := 0; r < replicas; r++ {
+		var h Histogram
+		for i := 0; i < perRep; i++ {
+			// Log-normal-ish latency shape with a heavy tail; each
+			// replica sees a slightly shifted distribution so the
+			// merge has to reconcile different ranges.
+			v := math.Exp(rng.NormFloat64()*0.6) * (1 + 0.1*float64(r))
+			h.Observe(v)
+			all.Observe(v)
+			union = append(union, v)
+		}
+		srcs = append(srcs, h.Buckets(nil))
+	}
+	sort.Float64s(union)
+	n := len(union)
+
+	merged := mergeBuckets(srcs...)
+	if got := merged[len(merged)-1].Count; got != float64(n) {
+		t.Fatalf("merged total = %v, want %d", got, n)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		got := BucketQuantile(q, merged)
+		if want := all.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("q=%v: merged %v, union histogram %v", q, got, want)
+		}
+		exact := union[int(math.Ceil(q*float64(n)))-1]
+		if rel := math.Abs(got-exact) / exact; rel > relErrBound*(1+1e-12) {
+			t.Errorf("q=%v: merged %v, exact %v, relative error %.5f > %.5f", q, got, exact, rel, relErrBound)
+		}
+	}
+}
+
+// TestMergeSketchesDegenerate covers empty, single-source and
+// disjoint-range merges.
+func TestMergeSketchesDegenerate(t *testing.T) {
+	if empty := mergeBuckets(); !math.IsNaN(BucketQuantile(0.5, empty)) {
+		t.Errorf("empty merge quantile = %v, want NaN", BucketQuantile(0.5, empty))
+	}
+
+	var h Histogram
+	for i := 1; i <= 1000; i++ {
+		h.Observe(float64(i))
+	}
+	qs := []float64{0, 0.5, 0.95, 0.99, 1}
+	one := mergeBuckets(h.Buckets(nil))
+	for _, q := range qs {
+		if got, want := BucketQuantile(q, one), h.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("single-source q=%v: %v, want %v", q, got, want)
+		}
+	}
+	if p50 := BucketQuantile(0.5, one); math.Abs(p50-500)/500 > relErrBound*(1+1e-12) {
+		t.Errorf("single-source p50 = %v, want within %.4f of 500", p50, relErrBound)
+	}
+
+	// A merge of an empty replica with a real one is just the real one.
+	var none Histogram
+	both := mergeBuckets(none.Buckets(nil), h.Buckets(nil))
+	if both[len(both)-1].Count != 1000 {
+		t.Errorf("empty+real merge total = %v, want 1000", both[len(both)-1].Count)
+	}
+	for _, q := range qs {
+		if got, want := BucketQuantile(q, both), h.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("empty+real q=%v: %v, want %v", q, got, want)
+		}
+	}
+
+	// Replicas with disjoint ranges merge to the union histogram.
+	var lo, hi, all Histogram
+	for i := 0; i < 300; i++ {
+		lo.Observe(1e-3 * (1 + float64(i%7)/10))
+		all.Observe(1e-3 * (1 + float64(i%7)/10))
+	}
+	for i := 0; i < 700; i++ {
+		hi.Observe(10 * (1 + float64(i%5)/10))
+		all.Observe(10 * (1 + float64(i%5)/10))
+	}
+	disjoint := mergeBuckets(lo.Buckets(nil), hi.Buckets(nil))
+	for _, q := range []float64{0.1, 0.3, 0.31, 0.5, 0.99} {
+		if got, want := BucketQuantile(q, disjoint), all.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("disjoint q=%v: %v, want %v", q, got, want)
+		}
 	}
 }

@@ -27,8 +27,7 @@ var (
 	spansInline = obs.Default().NewCounter("srdapool_spans_inline_total",
 		"Pool spans run inline because no worker was idle.")
 	queueWait = obs.Default().NewHistogram("srdapool_queue_wait_seconds",
-		"Handoff latency from span submission to worker pick-up.",
-		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1})
+		"Handoff latency from span submission to worker pick-up.")
 )
 
 func init() {

@@ -25,8 +25,7 @@ func newMetrics(ringMembers, healthy func() int64) *metrics {
 		backendErrors: reg.NewCounterVec("srdaroute_backend_errors_total",
 			"Forwarded requests that failed at the backend, by replica.", "replica"),
 		forward: reg.NewHistogram("srdaroute_forward_seconds",
-			"Routed predict latency from admission to backend reply.",
-			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),
+			"Routed predict latency from admission to backend reply."),
 	}
 	reg.NewGaugeFunc("srdaroute_ring_members",
 		"Replicas currently on the hash ring (healthy and not draining).", ringMembers)
@@ -36,13 +35,14 @@ func newMetrics(ringMembers, healthy func() int64) *metrics {
 }
 
 // bindTenantLatency registers the per-tenant forward-latency quantile
-// gauge families; separate from newMetrics because the router (which
-// owns the sketches) must exist first.
+// gauge families, views of per-tenant histograms; separate from
+// newMetrics because the router (which owns the histograms) must exist
+// first.
 func (m *metrics) bindTenantLatency(r *Router) {
 	m.reg.NewGaugeVecFunc("srdaroute_tenant_latency_p50",
-		"Streaming median routed-predict latency per tenant in seconds (CKMS sketch).",
+		"Median successful routed-predict latency per tenant in seconds.",
 		[]string{"tenant"}, func() []obs.GaugeSample { return r.tenantLatencySamples(0.5) })
 	m.reg.NewGaugeVecFunc("srdaroute_tenant_latency_p99",
-		"Streaming 99th-percentile routed-predict latency per tenant in seconds (CKMS sketch).",
+		"99th-percentile successful routed-predict latency per tenant in seconds.",
 		[]string{"tenant"}, func() []obs.GaugeSample { return r.tenantLatencySamples(0.99) })
 }

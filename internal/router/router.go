@@ -176,10 +176,12 @@ type Router struct {
 	wg       sync.WaitGroup
 	start    time.Time
 
-	// tenantMu guards tenantLat, the per-tenant forward-latency sketches
-	// behind the srdaroute_tenant_latency_{p50,p99} gauge families.
+	// tenantMu guards tenantLat, the per-tenant forward-latency
+	// histograms behind the srdaroute_tenant_latency_{p50,p99} gauge
+	// families.  Only successful forwards create an entry, so a client
+	// naming models that do not exist cannot grow it.
 	tenantMu  sync.Mutex
-	tenantLat map[string]*obs.QuantileSketch
+	tenantLat map[string]*obs.Histogram
 }
 
 // New builds a router over the given replicas, all initially healthy and
@@ -199,7 +201,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		tracer:    opts.Tracer,
 		stop:      make(chan struct{}),
 		start:     time.Now(),
-		tenantLat: make(map[string]*obs.QuantileSketch),
+		tenantLat: make(map[string]*obs.Histogram),
 	}
 	for _, b := range backends {
 		if b.Name() == "" {
@@ -431,22 +433,21 @@ func (r *Router) now() time.Time {
 	return time.Now()
 }
 
-// observeForward feeds one routed-predict latency to the shared forward
-// histogram (with its trace, for exemplars) and to the tenant's own
-// quantile sketch behind the srdaroute_tenant_latency_* gauge families.
-func (r *Router) observeForward(tenant string, sec float64, trace obs.TraceID) {
-	r.mx.forward.ObserveTraced(sec, trace)
+// observeTenant feeds one successful routed-predict latency to the
+// tenant's histogram behind the srdaroute_tenant_latency_* gauge
+// families.
+func (r *Router) observeTenant(tenant string, sec float64) {
 	r.tenantMu.Lock()
-	sk := r.tenantLat[tenant]
-	if sk == nil {
-		sk = obs.NewQuantileSketch()
-		r.tenantLat[tenant] = sk
+	h := r.tenantLat[tenant]
+	if h == nil {
+		h = new(obs.Histogram)
+		r.tenantLat[tenant] = h
 	}
 	r.tenantMu.Unlock()
-	sk.Observe(sec)
+	h.Observe(sec)
 }
 
-// tenantLatencySamples snapshots every tenant sketch at quantile q,
+// tenantLatencySamples reads every tenant histogram at quantile q,
 // sorted by tenant name — the exposition-time sampler behind the
 // per-tenant latency gauge families.
 func (r *Router) tenantLatencySamples(q float64) []obs.GaugeSample {
@@ -456,15 +457,15 @@ func (r *Router) tenantLatencySamples(q float64) []obs.GaugeSample {
 	for name := range r.tenantLat {
 		names = append(names, name)
 	}
-	sketches := make([]*obs.QuantileSketch, 0, len(names))
+	hists := make([]*obs.Histogram, 0, len(names))
 	sort.Strings(names)
 	for _, name := range names {
-		sketches = append(sketches, r.tenantLat[name])
+		hists = append(hists, r.tenantLat[name])
 	}
 	r.tenantMu.Unlock()
 	out := make([]obs.GaugeSample, 0, len(names))
 	for i, name := range names {
-		v := sketches[i].Query(q)
+		v := hists[i].Quantile(q)
 		if math.IsNaN(v) {
 			continue
 		}
@@ -536,12 +537,13 @@ func (r *Router) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	resp, err := st.backend.Predict(fctx, req)
 	sec := r.now().Sub(begin).Seconds()
 	fsp.End()
-	r.observeForward(tenant, sec, trace)
+	r.mx.forward.ObserveTraced(sec, trace)
 	r.mx.requests.With(name, strconv.Itoa(serve.StatusCode(err))).Inc()
 	if err != nil {
 		r.mx.backendErrors.With(name).Inc()
 		return nil, err
 	}
+	r.observeTenant(tenant, sec)
 	return resp, nil
 }
 

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,8 +34,9 @@ func (b *clockBackend) Health(context.Context) (*serve.Health, error) {
 
 // TestTenantLatencyQuantilesFrozenClock: with the injected clock driving
 // both quota refill and forward timing, the per-tenant latency gauge
-// families expose exact quantiles (the CKMS sketch is exact at small
-// counts), sorted by tenant, with untouched tenants absent.
+// families expose each tenant's histogram quantile — for a latency on a
+// grid bound, that bucket's representative, 2/(1+2^(1/8)) of the bound —
+// sorted by tenant, with untouched tenants absent.
 func TestTenantLatencyQuantilesFrozenClock(t *testing.T) {
 	now := time.Unix(1000, 0)
 	// One replica owns the whole ring, so both tenants land on it; its
@@ -64,10 +66,10 @@ func TestTenantLatencyQuantilesFrozenClock(t *testing.T) {
 	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	text := rec.Body.String()
 	for _, want := range []string{
-		`srdaroute_tenant_latency_p50{tenant="acme"} 0.015625`,
-		`srdaroute_tenant_latency_p99{tenant="acme"} 0.015625`,
-		`srdaroute_tenant_latency_p50{tenant="zeta"} 0.25`,
-		`srdaroute_tenant_latency_p99{tenant="zeta"} 0.25`,
+		`srdaroute_tenant_latency_p50{tenant="acme"} 0.014948521601572042`,
+		`srdaroute_tenant_latency_p99{tenant="acme"} 0.014948521601572042`,
+		`srdaroute_tenant_latency_p50{tenant="zeta"} 0.23917634562515266`,
+		`srdaroute_tenant_latency_p99{tenant="zeta"} 0.23917634562515266`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
@@ -79,6 +81,36 @@ func TestTenantLatencyQuantilesFrozenClock(t *testing.T) {
 	}
 	if strings.Contains(text, `tenant="default"`) {
 		t.Errorf("untouched default tenant appeared in the gauge family:\n%s", text)
+	}
+}
+
+// TestUnknownModelsKeepNoTenantLatency: predicts naming models no worker
+// serves come back 404 and leave no per-tenant latency state or gauge
+// line behind, so a client inventing model names cannot grow the
+// router's memory or its /metrics; the shared forward histogram still
+// counts every forward.
+func TestUnknownModelsKeepNoTenantLatency(t *testing.T) {
+	r, _, _ := colocated(t, 2, Options{})
+	const n = 200
+	for i := 0; i < n; i++ {
+		_, err := r.Predict(context.Background(), &serve.PredictRequest{
+			Model:   fmt.Sprintf("invented-%d", i),
+			Samples: []serve.Sample{{Dense: probe(8, 0)}},
+		})
+		if serve.StatusCode(err) != http.StatusNotFound {
+			t.Fatalf("unknown model %d: %v (status %d)", i, err, serve.StatusCode(err))
+		}
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	for _, family := range []string{"srdaroute_tenant_latency_p50{", "srdaroute_tenant_latency_p99{"} {
+		if strings.Contains(text, family) {
+			t.Errorf("failed forwards left %s lines:\n%s", family, text)
+		}
+	}
+	if got := r.mx.forward.Count(); got != n {
+		t.Errorf("forward histogram counted %d forwards, want %d", got, n)
 	}
 }
 

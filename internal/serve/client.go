@@ -317,28 +317,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(b), err
 }
 
-// Sketches fetches the worker's CKMS quantile-sketch snapshots from
-// /v1/sketches, keyed by metric base name.
-func (c *Client) Sketches(ctx context.Context) (map[string]obs.SketchSnapshot, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/sketches", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = hresp.Body.Close() }() // best-effort; response already read or failed
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
-	var out map[string]obs.SketchSnapshot
-	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding /v1/sketches reply: %w", err)
-	}
-	return out, nil
-}
-
 // decodeError turns a non-200 reply into a *StatusError carrying the
 // server's message and any Retry-After hint.
 func decodeError(resp *http.Response) error {

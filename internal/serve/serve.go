@@ -203,7 +203,6 @@ func newServer(m *core.Model, opts Options) (*Server, error) {
 	s.mux.HandleFunc("/v1/models", s.instrument("/v1/models", s.handleModels))
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("/v1/sketches", s.instrument("/v1/sketches", s.handleSketches))
 	if opts.Trainer != nil {
 		s.mux.HandleFunc("/v1/observe", s.instrument("/v1/observe", s.handleObserve))
 	}
@@ -256,12 +255,12 @@ func (s *Server) ModelSeq() uint64 {
 	return 0
 }
 
-// LatencyP99 returns the streaming 99th-percentile predict latency in
-// seconds (0 until the first observation) — the admission-control signal
-// the router's health checks read, mirroring the
-// srdaserve_request_latency_p99 gauge.
+// LatencyP99 returns the 99th-percentile predict latency in seconds (0
+// until the first observation), read from the duration histogram in one
+// allocation-free scan — the admission-control signal the router's
+// health checks read, mirroring the srdaserve_request_latency_p99 gauge.
 func (s *Server) LatencyP99() float64 {
-	if p := s.metrics.latencySketch.Query(0.99); !math.IsNaN(p) {
+	if p := s.metrics.latency.Quantile(0.99); !math.IsNaN(p) {
 		return p
 	}
 	return 0
@@ -339,12 +338,14 @@ func (s *Server) startRequestSpan(ctx context.Context, name string, h http.Heade
 	return s.tracer.StartRoot(ctx, name)
 }
 
-// observeLatencyTraced feeds one predict latency to the instruments with
-// the trace that produced it, then lets the flight recorder compare the
-// refreshed streaming p99 against its SLO.
+// observeLatencyTraced feeds one predict latency to the histogram with
+// the trace that produced it, then, when the flight recorder has a p99
+// SLO, lets it compare the refreshed p99 against it.
 func (s *Server) observeLatencyTraced(sec float64, trace obs.TraceID) {
-	s.metrics.observeLatencyTraced(sec, trace)
-	s.opts.Flight.CheckP99(s.LatencyP99(), trace)
+	s.metrics.latency.ObserveTraced(sec, trace)
+	if s.opts.Flight.P99SLO() > 0 {
+		s.opts.Flight.CheckP99(s.LatencyP99(), trace)
+	}
 }
 
 // Sample is one input vector: exactly one of Dense or Sparse must be set.
@@ -729,27 +730,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		s.opts.Trainer.Metrics().WritePrometheus(w)
 	}
 	return http.StatusOK
-}
-
-// LatencySketchName keys the predict-latency sketch in LatencySketches
-// and the /v1/sketches reply; the federation layer merges snapshots
-// under this name into cluster-level quantiles.
-const LatencySketchName = "srdaserve_request_latency"
-
-// LatencySketches returns serializable snapshots of the server's CKMS
-// quantile sketches, keyed by metric base name.  The federation scraper
-// merges these — the p50/p95/p99 gauges on /metrics are pre-collapsed
-// estimates and cannot be combined across replicas without losing the
-// rank-error bound.
-func (s *Server) LatencySketches() map[string]obs.SketchSnapshot {
-	return map[string]obs.SketchSnapshot{
-		LatencySketchName: s.metrics.latencySketch.Snapshot(),
-	}
-}
-
-func (s *Server) handleSketches(w http.ResponseWriter, r *http.Request) int {
-	if r.Method != http.MethodGet {
-		return writeErr(w, http.StatusMethodNotAllowed, "GET required")
-	}
-	return writeJSON(w, http.StatusOK, s.LatencySketches())
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"time"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -39,10 +40,25 @@ const DefaultMaxBodyBytes = 32 << 20
 // buffer as its bytes come in.
 const maxPreGrow = 64 << 10
 
-// ReadBody reads r's body, failing with *http.MaxBytesError past limit
-// bytes.  A declared Content-Length sizes the buffer up front, up to
-// maxPreGrow.
+// BodyReadTimeout bounds how long ReadBody waits for a request body, so
+// a client that trickles its body cannot hold a connection and a growing
+// buffer indefinitely.  The deadline covers the body read only: a
+// handler that runs long after its body arrived keeps its connection.
+const BodyReadTimeout = 10 * time.Second
+
+// ReadBody reads r's body within BodyReadTimeout, failing with
+// *http.MaxBytesError past limit bytes.  A declared Content-Length sizes
+// the buffer up front, up to maxPreGrow.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	return readBodyWithin(w, r, limit, BodyReadTimeout)
+}
+
+// readBodyWithin is ReadBody with the deadline as a parameter.  The
+// server lifts the connection's read deadline itself once the body
+// reaches EOF.  A writer that cannot set deadlines
+// (httptest.ResponseRecorder) reads without one.
+func readBodyWithin(w http.ResponseWriter, r *http.Request, limit int64, timeout time.Duration) ([]byte, error) {
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(timeout))
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= limit {
 		buf.Grow(int(min(n, maxPreGrow)) + bytes.MinRead)

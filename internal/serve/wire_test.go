@@ -3,7 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -119,5 +124,70 @@ func TestDecodeLinearTime(t *testing.T) {
 		if got > 20*ref {
 			t.Errorf("%s: decoding %d bytes took %v, json.Unmarshal %v", name, len(body), got, ref)
 		}
+	}
+}
+
+// TestReadBodyDeadlineClosesStalledClient: a client that sends its
+// headers and part of its body and then stalls gets a 400 and its
+// connection closed once the body read deadline passes, instead of
+// holding the connection and a growing buffer indefinitely.
+func TestReadBodyDeadlineClosesStalledClient(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := readBodyWithin(w, r, DefaultMaxBodyBytes, timeout); err != nil {
+			writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/predict HTTP/1.1\r\nHost: srda\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"samples\":["); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	reply, err := io.ReadAll(conn) // returns once the server closes the connection
+	if err != nil {
+		t.Fatalf("connection still open %v after the client stalled: %v", time.Since(begin), err)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) {
+		t.Fatalf("stalled client got %q, want a 400", reply)
+	}
+}
+
+// TestReadBodyClearsDeadline: once the body is complete the deadline no
+// longer applies (net/http lifts it at EOF), so a handler that works past
+// it keeps its request context.
+func TestReadBodyClearsDeadline(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := readBodyWithin(w, r, DefaultMaxBodyBytes, timeout); err != nil {
+			writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+			return
+		}
+		select {
+		case <-r.Context().Done():
+			writeErr(w, http.StatusServiceUnavailable, "context ended: %v", r.Context().Err())
+		case <-time.After(4 * timeout):
+			w.WriteHeader(http.StatusOK)
+		}
+	}))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(`{"samples":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 }

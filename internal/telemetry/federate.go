@@ -2,8 +2,8 @@ package telemetry
 
 // Federation: the router role scrapes every replica's /metrics through
 // the shared text grammar, tags each sample with a replica label,
-// ingests the result into one cluster store, and merges the replicas'
-// CKMS sketch snapshots into cluster-level quantiles.  The merged view
+// ingests the result into one cluster store, and sums the replicas'
+// histogram buckets into cluster-level quantiles.  The merged view
 // is re-exposed two ways: /cluster/metrics (deterministic Prometheus
 // text — families sorted by name, samples by canonical key) and
 // /cluster/snapshot (the JSON document srdareport top renders).
@@ -34,22 +34,18 @@ const (
 	ReplicaLabel = "replica"
 )
 
-// Target is one scrape target: a replica's exposition plus (optionally)
-// its quantile-sketch snapshots.
+// Target is one scrape target: a replica's exposition.
 type Target struct {
 	// Replica names the target; it becomes the replica label value.
 	Replica string
 	// Fetch returns the /metrics exposition bytes.
 	Fetch func(ctx context.Context) ([]byte, error)
-	// Sketches returns the replica's sketch snapshots keyed by metric
-	// base name; nil means the target does not export sketches.
-	Sketches func(ctx context.Context) (map[string]obs.SketchSnapshot, error)
 }
 
 // RegistryTarget adapts in-process registries (the co-located "all"
 // role): Fetch renders them directly, no HTTP round trip.
-func RegistryTarget(replica string, sketches func() map[string]obs.SketchSnapshot, regs ...*obs.Registry) Target {
-	t := Target{
+func RegistryTarget(replica string, regs ...*obs.Registry) Target {
+	return Target{
 		Replica: replica,
 		Fetch: func(context.Context) ([]byte, error) {
 			var sb strings.Builder
@@ -61,18 +57,6 @@ func RegistryTarget(replica string, sketches func() map[string]obs.SketchSnapsho
 			return []byte(sb.String()), nil
 		},
 	}
-	if sketches != nil {
-		t.Sketches = func(context.Context) (map[string]obs.SketchSnapshot, error) {
-			return sketches(), nil
-		}
-	}
-	return t
-}
-
-// SketchClient fetches sketch snapshots over HTTP; *serve.Client
-// satisfies it.
-type SketchClient interface {
-	Sketches(ctx context.Context) (map[string]obs.SketchSnapshot, error)
 }
 
 // MetricsClient fetches a /metrics exposition; *serve.Client satisfies
@@ -82,19 +66,15 @@ type MetricsClient interface {
 }
 
 // ClientTarget adapts a typed worker client (serve.Client or anything
-// implementing the two fetch interfaces) into a scrape target.
-func ClientTarget(replica string, mc MetricsClient, sc SketchClient) Target {
-	t := Target{
+// implementing MetricsClient) into a scrape target.
+func ClientTarget(replica string, mc MetricsClient) Target {
+	return Target{
 		Replica: replica,
 		Fetch: func(ctx context.Context) ([]byte, error) {
 			text, err := mc.Metrics(ctx)
 			return []byte(text), err
 		},
 	}
-	if sc != nil {
-		t.Sketches = sc.Sketches
-	}
-	return t
 }
 
 // replicaScrape is the per-target scrape status.
@@ -125,13 +105,12 @@ type Federator struct {
 	clock obs.Clock
 	store *Store
 
-	mu       sync.Mutex
-	targets  []Target
-	status   map[string]*replicaScrape
-	sketches map[string]map[string]obs.SketchSnapshot // replica -> metric -> snapshot
-	scrapes  int64
-	errs     int64
-	slo      *SLOEngine
+	mu      sync.Mutex
+	targets []Target
+	status  map[string]*replicaScrape
+	scrapes int64
+	errs    int64
+	slo     *SLOEngine
 }
 
 // NewFederator builds a federator over the given targets.
@@ -144,12 +123,11 @@ func NewFederator(targets []Target, opts FederatorOptions) *Federator {
 		opts.RateWindow = time.Minute
 	}
 	f := &Federator{
-		opts:     opts,
-		clock:    clock,
-		store:    NewStore(opts.PointsPerSeries),
-		targets:  append([]Target(nil), targets...),
-		status:   make(map[string]*replicaScrape, len(targets)),
-		sketches: make(map[string]map[string]obs.SketchSnapshot),
+		opts:    opts,
+		clock:   clock,
+		store:   NewStore(opts.PointsPerSeries),
+		targets: append([]Target(nil), targets...),
+		status:  make(map[string]*replicaScrape, len(targets)),
 	}
 	for _, t := range targets {
 		f.status[t.Replica] = &replicaScrape{}
@@ -170,10 +148,9 @@ func (f *Federator) AttachSLO(e *SLOEngine) {
 }
 
 // Scrape pulls every target once at now: fetch, parse, tag with the
-// replica label, ingest; then fetch sketch snapshots; then (with an
-// attached SLO engine) evaluate alerts against the updated store.  A
-// failing target marks its replica down and keeps its stale series —
-// gaps, not zeros.
+// replica label, ingest; then (with an attached SLO engine) evaluate
+// alerts against the updated store.  A failing target marks its replica
+// down and keeps its stale series — gaps, not zeros.
 func (f *Federator) Scrape(ctx context.Context, now time.Time) {
 	f.mu.Lock()
 	targets := append([]Target(nil), f.targets...)
@@ -232,43 +209,94 @@ func (f *Federator) scrapeOne(ctx context.Context, t Target, now time.Time) erro
 		}
 	}
 	f.store.Ingest(now, tagged)
-
-	if t.Sketches != nil {
-		snaps, err := t.Sketches(ctx)
-		if err != nil {
-			return fmt.Errorf("fetching sketches: %w", err)
-		}
-		f.mu.Lock()
-		f.sketches[t.Replica] = snaps
-		f.mu.Unlock()
-	}
 	return nil
 }
 
-// mergedSketches merges the latest per-replica snapshots per metric,
-// metric names sorted.
-func (f *Federator) mergedSketches() []ClusterQuantile {
-	f.mu.Lock()
-	byMetric := make(map[string][]obs.SketchSnapshot)
-	for _, replica := range sortedKeys(f.sketches) {
-		//srdalint:ignore maprange building another map; output order comes from the sortedKeys pass below
-		for metric, snap := range f.sketches[replica] {
-			byMetric[metric] = append(byMetric[metric], snap)
-		}
+// clusterQuantiles computes the cluster quantiles of every federated
+// histogram family from the latest series view: per family it sums the
+// sources' cumulative bucket counts per le, a source being one series
+// label set (one replica, for this tier's histograms) at its most recent
+// scrape.  All replicas bucket on obs's shared grid, and a source adds 0
+// below its emitted range and its top count above it, so the sums are
+// the buckets of one histogram fed the union stream and the quantiles
+// equal its quantiles bit for bit.
+func clusterQuantiles(latest []SeriesInfo) []ClusterQuantile {
+	type source struct {
+		at      time.Time
+		buckets []obs.Bucket
 	}
-	f.mu.Unlock()
-	out := make([]ClusterQuantile, 0, len(byMetric))
-	for _, metric := range sortedKeys(byMetric) {
-		merged := obs.MergeSketches(byMetric[metric]...)
-		if merged.Count() == 0 {
+	families := make(map[string]map[string]*source) // family -> source key -> buckets
+	for _, si := range latest {
+		family, ok := strings.CutSuffix(si.Name, "_bucket")
+		if !ok || si.Type != "histogram" {
+			continue
+		}
+		le, rest := math.NaN(), make([]obs.PromLabel, 0, len(si.Labels))
+		for _, l := range si.Labels {
+			if l.Name != "le" {
+				rest = append(rest, l)
+			} else if v, err := strconv.ParseFloat(l.Value, 64); err == nil {
+				le = v
+			}
+		}
+		if math.IsNaN(le) {
+			continue
+		}
+		if families[family] == nil {
+			families[family] = make(map[string]*source)
+		}
+		key := obs.CanonicalSeriesKey(family, rest)
+		src, p := families[family][key], si.Points[0]
+		switch {
+		case src == nil:
+			src = &source{at: p.T}
+			families[family][key] = src
+		case p.T.After(src.at): // a newer scrape supersedes older buckets
+			src.at, src.buckets = p.T, src.buckets[:0]
+		case p.T.Before(src.at): // a bucket the latest scrape no longer emits
+			continue
+		}
+		src.buckets = append(src.buckets, obs.Bucket{LE: le, Count: p.V})
+	}
+	var out []ClusterQuantile
+	for _, family := range sortedKeys(families) {
+		sources := families[family]
+		var les []float64
+		for _, key := range sortedKeys(sources) {
+			bs := sources[key].buckets
+			sort.Slice(bs, func(i, j int) bool { return bs[i].LE < bs[j].LE })
+			for _, b := range bs {
+				les = append(les, b.LE)
+			}
+		}
+		sort.Float64s(les)
+		merged := make([]obs.Bucket, 0, len(les))
+		for _, le := range les {
+			if len(merged) == 0 || le > merged[len(merged)-1].LE {
+				merged = append(merged, obs.Bucket{LE: le})
+			}
+		}
+		for _, key := range sortedKeys(sources) {
+			bs, j := sources[key].buckets, -1
+			for i := range merged {
+				for j+1 < len(bs) && bs[j+1].LE <= merged[i].LE {
+					j++
+				}
+				if j >= 0 {
+					merged[i].Count += bs[j].Count
+				}
+			}
+		}
+		total := merged[len(merged)-1].Count
+		if !(total > 0) {
 			continue
 		}
 		out = append(out, ClusterQuantile{
-			Metric: metric,
-			Count:  merged.Count(),
-			P50:    nanToZero(merged.Query(0.5)),
-			P95:    nanToZero(merged.Query(0.95)),
-			P99:    nanToZero(merged.Query(0.99)),
+			Metric: family,
+			Count:  int(total),
+			P50:    obs.BucketQuantile(0.5, merged),
+			P95:    obs.BucketQuantile(0.95, merged),
+			P99:    obs.BucketQuantile(0.99, merged),
 		})
 	}
 	return out
@@ -305,9 +333,10 @@ func (f *Federator) WriteClusterMetrics(w io.Writer) {
 		fmt.Fprintf(w, "srdafed_replica_up{%s=\"%s\"} %d\n", ReplicaLabel, obs.EscapeLabelValue(r.name), up)
 	}
 
-	quants := f.mergedSketches()
+	latest := f.store.Latest()
+	quants := clusterQuantiles(latest)
 	if len(quants) > 0 {
-		fmt.Fprintf(w, "# HELP srdacluster_quantile Cluster-level quantiles from merged per-replica CKMS sketches.\n# TYPE srdacluster_quantile gauge\n")
+		fmt.Fprintf(w, "# HELP srdacluster_quantile Cluster-level quantiles from per-replica histogram buckets summed per le.\n# TYPE srdacluster_quantile gauge\n")
 		for _, q := range quants {
 			for _, pq := range []struct {
 				q string
@@ -317,7 +346,7 @@ func (f *Federator) WriteClusterMetrics(w io.Writer) {
 					obs.EscapeLabelValue(q.Metric), pq.q, formatValue(pq.v))
 			}
 		}
-		fmt.Fprintf(w, "# HELP srdacluster_quantile_count Observations behind each merged cluster sketch.\n# TYPE srdacluster_quantile_count gauge\n")
+		fmt.Fprintf(w, "# HELP srdacluster_quantile_count Observations behind each cluster histogram.\n# TYPE srdacluster_quantile_count gauge\n")
 		for _, q := range quants {
 			fmt.Fprintf(w, "srdacluster_quantile_count{metric=\"%s\"} %d\n", obs.EscapeLabelValue(q.Metric), q.Count)
 		}
@@ -329,17 +358,13 @@ func (f *Federator) WriteClusterMetrics(w io.Writer) {
 		lines []string
 	}
 	fams := make(map[string]*famOut)
-	for _, si := range f.store.Snapshot() {
-		latest, ok := si.Latest()
-		if !ok {
-			continue
-		}
+	for _, si := range latest {
 		fo, ok := fams[si.Name]
 		if !ok {
 			fo = &famOut{typ: si.Type}
 			fams[si.Name] = fo
 		}
-		fo.lines = append(fo.lines, si.Key+" "+formatValue(latest.V))
+		fo.lines = append(fo.lines, si.Key+" "+formatValue(si.Points[0].V))
 	}
 	for _, name := range sortedKeys(fams) {
 		fo := fams[name]

@@ -28,7 +28,8 @@ type ReplicaStatus struct {
 	QueueDepth  float64   `json:"queue_depth"`
 }
 
-// ClusterQuantile is one merged cluster-level sketch.
+// ClusterQuantile is the cluster-level quantile summary of one
+// histogram family, merged across replicas.
 type ClusterQuantile struct {
 	Metric string  `json:"metric"`
 	Count  int     `json:"count"`
@@ -104,7 +105,7 @@ func (f *Federator) Snapshot(now time.Time) ClusterSnapshot {
 		Schema:    ClusterSchema,
 		Time:      now.UTC(),
 		Replicas:  rows,
-		Quantiles: f.mergedSketches(),
+		Quantiles: clusterQuantiles(f.store.Latest()),
 		Alerts:    slo.Alerts(),
 		Series:    f.store.SeriesCount(),
 	}

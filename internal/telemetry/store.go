@@ -38,40 +38,37 @@ type SeriesInfo struct {
 	Points []Point         `json:"points"`
 }
 
-// series is one ring of points.  The ring is fixed at store creation so
-// memory is bounded: capacity × series, independent of uptime.
+// series is one ring of points.  The ring grows to the store's
+// capacity and then wraps, so memory stays bounded by the capacity,
+// independent of uptime, and a series that has seen few scrapes holds
+// only those.
 type series struct {
 	name   string
 	labels []obs.PromLabel
 	typ    string
 	ring   []Point
-	next   int
-	full   bool
+	next   int // the slot the next push overwrites once the ring is full
 }
 
-func (s *series) push(p Point) {
-	s.ring[s.next] = p
-	s.next++
-	if s.next == len(s.ring) {
-		s.next = 0
-		s.full = true
+func (s *series) push(p Point, capacity int) {
+	if len(s.ring) < capacity {
+		s.ring = append(s.ring, p)
+		return
 	}
+	s.ring[s.next] = p
+	s.next = (s.next + 1) % capacity
 }
 
 // points returns the retained points oldest-first.
 func (s *series) points() []Point {
-	if !s.full {
-		return append([]Point(nil), s.ring[:s.next]...)
-	}
 	out := make([]Point, 0, len(s.ring))
 	out = append(out, s.ring[s.next:]...)
-	out = append(out, s.ring[:s.next]...)
-	return out
+	return append(out, s.ring[:s.next]...)
 }
 
 // Store is a bounded in-process time-series store.  Series appear on
 // first ingest and are never dropped (the fleet's series set is small
-// and stable); each keeps a fixed ring of points.  Safe for concurrent
+// and stable); each keeps a bounded ring of points.  Safe for concurrent
 // use.
 type Store struct {
 	mu       sync.Mutex
@@ -109,12 +106,11 @@ func (st *Store) Ingest(now time.Time, fams []obs.PromFamily) {
 					name:   smp.Name,
 					labels: append([]obs.PromLabel(nil), smp.Labels...),
 					typ:    f.Type,
-					ring:   make([]Point, st.capacity),
 				}
 				st.series[key] = sr
 				st.order = append(st.order, key)
 			}
-			sr.push(Point{T: now, V: smp.Value})
+			sr.push(Point{T: now, V: smp.Value}, st.capacity)
 		}
 	}
 }
@@ -139,13 +135,17 @@ func (st *Store) SampleRegistry(now time.Time, regs ...*obs.Registry) error {
 	return nil
 }
 
-// Snapshot returns every series in first-ingest order.
-func (st *Store) Snapshot() []SeriesInfo {
+// Latest returns every series in first-ingest order with only its
+// newest point — the view the cluster exposition renders, without
+// copying whole rings.
+func (st *Store) Latest() []SeriesInfo {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]SeriesInfo, 0, len(st.order))
 	for _, key := range st.order {
-		out = append(out, st.viewLocked(key))
+		sr := st.series[key]
+		newest := sr.ring[(sr.next+len(sr.ring)-1)%len(sr.ring)]
+		out = append(out, SeriesInfo{Key: key, Name: sr.name, Labels: sr.labels, Type: sr.typ, Points: []Point{newest}})
 	}
 	return out
 }

@@ -25,8 +25,17 @@ func TestStoreRingBounds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fam[0].Samples[0].Value = float64(i)
 		st.Ingest(at(i), fam)
+		if i == 1 {
+			// Before the ring fills it holds exactly what was ingested.
+			if got := st.Query("m")[0].Points; len(got) != 2 || got[0].V != 0 || got[1].V != 1 {
+				t.Fatalf("growing ring = %+v", got)
+			}
+		}
 	}
-	snap := st.Snapshot()
+	if latest := st.Latest(); len(latest) != 1 || len(latest[0].Points) != 1 || latest[0].Points[0] != (Point{T: at(9), V: 9}) {
+		t.Fatalf("latest view = %+v", latest)
+	}
+	snap := st.Query("m")
 	if len(snap) != 1 {
 		t.Fatalf("series count = %d", len(snap))
 	}
